@@ -521,8 +521,11 @@ def recover_session(
 ) -> RecoveryReport:
     """Restore-latest-snapshot + replay-tail from a write-ahead log.
 
-    Scans ``wal`` for ``session``'s latest ``checkpoint`` frame and the
-    ``entry``/``applied`` frames after it, then:
+    Reads ``session``'s frames from ``wal``
+    (:meth:`~repro.runtime.wal.WriteAheadLog.session_frames`, at a cost
+    of the session's own frames rather than the whole log) for its
+    latest ``checkpoint`` frame and the ``entry``/``applied`` frames
+    after it, then:
 
     1. restores the checkpoint — onto the given warm ``platform``, or
        by rebuilding one from the embedded snapshot via
@@ -562,17 +565,8 @@ def recover_session(
     effects: dict[int, list[list[Any]]] = {}
     applied: set[int] = set()
     max_seq = 0
-    ckpt_owner = session if checkpoint_session is None else checkpoint_session
-    for _position, doc in wal.replay():
+    for _position, doc in wal.session_frames(session, checkpoint_session):
         kind = doc.get("k")
-        owner = str(doc.get("session", ""))
-        if kind == "checkpoint":
-            if owner not in (session, ckpt_owner) and not doc.get(
-                "covers_all"
-            ):
-                continue
-        elif owner != session:
-            continue
         if kind == "checkpoint":
             if doc.get("delta"):
                 # Dirty-layer delta: folds onto the latest full

@@ -57,6 +57,7 @@ from __future__ import annotations
 import json
 import os
 import struct
+import sys
 import threading
 import zlib
 from collections import deque
@@ -229,6 +230,45 @@ def decode_frame_payload(payload: bytes, expected_crc: int) -> Any:
         raise WalError(f"undecodable frame payload: {exc}") from exc
 
 
+def _read_frames(
+    handle: Any, offset: int = 0, *, mid_log: int | None = None
+) -> Iterator[tuple[int, bytes]]:
+    """Yield ``(offset, payload)`` per whole, CRC-valid frame of an open
+    segment file from byte ``offset`` on.  A short or CRC-failing frame
+    ends the read (a torn tail) — unless ``mid_log`` names the segment
+    as not the log's last: there it is corruption and raises."""
+    handle.seek(offset)
+    while True:
+        header = handle.read(_HEADER.size)
+        if len(header) < _HEADER.size:
+            if header and mid_log is not None:
+                raise WalError(
+                    f"truncated frame header mid-log in segment {mid_log}"
+                )
+            return
+        length, crc = _HEADER.unpack(header)
+        payload = handle.read(length)
+        if len(payload) < length or zlib.crc32(payload) != crc:
+            if mid_log is not None:
+                raise WalError(
+                    f"corrupt frame mid-log in segment {mid_log} at "
+                    f"offset {offset}"
+                )
+            return
+        yield offset, payload
+        offset += _HEADER.size + length
+
+
+def _decode(payload: bytes, position: WalPosition) -> dict[str, Any]:
+    try:
+        return _loads(payload)
+    except ValueError as exc:
+        raise WalError(
+            f"undecodable frame in segment {position.segment} at offset "
+            f"{position.offset}: {exc}"
+        ) from exc
+
+
 class WriteAheadLog:
     """Append-only segmented log of JSON frames for one shard.
 
@@ -241,6 +281,11 @@ class WriteAheadLog:
     benches measuring CPU overhead); otherwise appends are
     group-committed — ``flush()+fsync()`` once every ``sync_every``
     frames and always on :meth:`sync`/:meth:`checkpoint`/:meth:`close`.
+
+    Reading: :meth:`replay` walks the whole log; :meth:`session_frames`
+    reads one session's recovery frames through a position index built
+    on first use, so recovering every session of a shard costs one pass
+    over its log plus each session's own frames.
 
     Thread safety: all mutating calls serialize on one lock, so shard
     pump threads and an ingress producer can share a log.
@@ -279,6 +324,13 @@ class WriteAheadLog:
         self.rotations = 0
         self.truncated_segments = 0
         self.torn_tail_repaired = False
+        # per-session read index (see session_frames), built on the
+        # first per-session read and never touched by the append path.
+        self._index_lock = threading.Lock()
+        self._index: dict[str, list[tuple[WalPosition, Any]]] | None = None
+        self._index_covers_all: list[WalPosition] = []
+        self._index_cursor = WalPosition(0, 0)
+        self._index_truncated = 0
         self._open_latest()
 
     # -- segment management -------------------------------------------
@@ -311,9 +363,9 @@ class WriteAheadLog:
             with open(path, "r+b") as handle:
                 handle.truncate(valid)
             self.torn_tail_repaired = True
-        self._file = open(path, "ab")
         self._offset = valid
-        # rebuild truncation-floor bookkeeping from the surviving log.
+        # rebuild truncation-floor bookkeeping from the surviving log
+        # (before the append handle opens: a corrupt log raises here).
         for _, doc in self.replay():
             kind = doc.get("k")
             session = str(doc.get("session", ""))
@@ -330,6 +382,7 @@ class WriteAheadLog:
                             self._checkpoint_segment[active] = floor
             elif kind == "entry":
                 self._active_sessions.add(session)
+        self._file = open(path, "ab")
 
     def _start_segment(self, segment: int) -> None:
         self._segment = segment
@@ -351,15 +404,9 @@ class WriteAheadLog:
         """Byte length of the longest valid frame prefix of ``path``."""
         valid = 0
         with open(path, "rb") as handle:
-            while True:
-                header = handle.read(_HEADER.size)
-                if len(header) < _HEADER.size:
-                    return valid
-                length, crc = _HEADER.unpack(header)
-                payload = handle.read(length)
-                if len(payload) < length or zlib.crc32(payload) != crc:
-                    return valid
-                valid += _HEADER.size + length
+            for offset, payload in _read_frames(handle):
+                valid = offset + _HEADER.size + len(payload)
+        return valid
 
     # -- appending ----------------------------------------------------
 
@@ -599,9 +646,9 @@ class WriteAheadLog:
         covered by the checkpoint and stay behind.
         """
         frames: list[dict[str, Any]] = []
-        for _position, doc in self.replay():
+        for _position, doc in self.session_frames(session):
             if str(doc.get("session", "")) != session:
-                continue
+                continue  # another session's covers_all checkpoint
             if doc.get("k") == "checkpoint" and not doc.get("delta"):
                 frames = [doc]
             else:
@@ -662,17 +709,9 @@ class WriteAheadLog:
             except FileNotFoundError:
                 continue
             with handle:
-                if offset:
-                    handle.seek(offset)
-                while not (segment == end.segment and offset >= end.offset):
-                    header = handle.read(_HEADER.size)
-                    if len(header) < _HEADER.size:
+                for offset, payload in _read_frames(handle, offset):
+                    if segment == end.segment and offset >= end.offset:
                         break
-                    length, crc = _HEADER.unpack(header)
-                    payload = handle.read(length)
-                    if len(payload) < length or zlib.crc32(payload) != crc:
-                        break
-                    offset += _HEADER.size + length
                     try:
                         doc = _loads(payload)
                     except ValueError:
@@ -692,8 +731,6 @@ class WriteAheadLog:
         yielded.  A torn tail in the *final* segment ends iteration
         cleanly; a bad frame anywhere else raises :class:`WalError`.
         """
-        from repro.modeling.serialize import SerializationError, check_envelope
-
         with self._lock:
             if self._file is not None:
                 self._file.flush()
@@ -702,56 +739,162 @@ class WriteAheadLog:
         for segment in segments:
             if start is not None and segment < start.segment:
                 continue
-            path = self._segment_path(segment)
-            offset = 0
-            with open(path, "rb") as handle:
-                first = True
-                while True:
-                    header = handle.read(_HEADER.size)
-                    if len(header) < _HEADER.size:
-                        if header and segment != last:
-                            raise WalError(
-                                f"truncated frame header mid-log in "
-                                f"segment {segment}"
-                            )
-                        break
-                    length, crc = _HEADER.unpack(header)
-                    payload = handle.read(length)
-                    if len(payload) < length or zlib.crc32(payload) != crc:
-                        if segment != last:
-                            raise WalError(
-                                f"corrupt frame mid-log in segment "
-                                f"{segment} at offset {offset}"
-                            )
-                        break  # torn tail: crash mid-append
-                    try:
-                        doc = _loads(payload)
-                    except ValueError as exc:
-                        raise WalError(
-                            f"undecodable frame in segment {segment} at "
-                            f"offset {offset}: {exc}"
-                        ) from exc
-                    position = WalPosition(segment, offset)
-                    offset += _HEADER.size + length
-                    if first:
-                        first = False
-                        if doc.get("k") == "header":
-                            try:
-                                check_envelope(
-                                    doc,
-                                    expected_format=WAL_FORMAT,
-                                    max_version=WAL_VERSION,
-                                )
-                            except SerializationError as exc:
-                                raise WalError(str(exc)) from exc
-                            continue
-                        raise WalError(
-                            f"segment {segment} does not open with a "
-                            f"{WAL_FORMAT!r} header frame"
-                        )
-                    if start is not None and position < start:
-                        continue
+            for position, _end, doc in self._segment_docs(
+                segment, 0, final=segment == last
+            ):
+                if start is None or position >= start:
                     yield position, doc
+
+    def session_frames(
+        self, session: str, checkpoint_owner: str | None = None
+    ) -> Iterator[tuple[WalPosition, dict[str, Any]]]:
+        """Yield ``(position, doc)``, in log order, for every frame a
+        recovery of ``session`` reads: its own frames, the checkpoint
+        frames of ``checkpoint_owner`` (default: the session itself),
+        and every ``covers_all`` checkpoint.
+
+        The same frames, and the same errors, as filtering a full
+        :meth:`replay`, at a cost of the session's own frames: a
+        per-session index of frame positions is built by the first call
+        (one full :meth:`replay` pass), extended on later calls by a
+        seek-based read from the end of the last frame it indexed, and
+        pruned of segments truncated since.  Each frame is read back by
+        position and its CRC checked again before it is decoded.
+        """
+        owner = session if checkpoint_owner is None else checkpoint_owner
+        with self._index_lock:
+            index = self._refresh_index()
+            positions = [position for position, _kind in index.get(session, ())]
+            if owner != session:
+                positions += [
+                    position
+                    for position, kind in index.get(owner, ())
+                    if kind == "checkpoint"
+                ]
+            positions += self._index_covers_all
+        positions.sort()
+        handle: Any = None
+        segment = -1
+        try:
+            for position in positions:
+                if position.segment != segment:
+                    if handle is not None:
+                        handle.close()
+                    segment = position.segment
+                    handle = open(self._segment_path(segment), "rb")
+                frame = next(
+                    _read_frames(handle, position.offset, mid_log=segment),
+                    None,
+                )
+                if frame is None:
+                    raise WalError(
+                        f"indexed frame missing in segment {segment} at "
+                        f"offset {position.offset}"
+                    )
+                yield position, _decode(frame[1], position)
+        finally:
+            if handle is not None:
+                handle.close()
+
+    def _build_index(self) -> dict[str, list[tuple[WalPosition, Any]]]:
+        """One full validated :meth:`replay` pass; the cursor is left at
+        the end of the last frame it yielded."""
+        index: dict[str, list[tuple[WalPosition, Any]]] = {}
+        self._index_covers_all = []
+        self._index_truncated = self.truncated_segments
+        last: WalPosition | None = None
+        for last, doc in self.replay():
+            self._index_frame(index, last, doc)
+        if last is not None:
+            with open(self._segment_path(last.segment), "rb") as handle:
+                handle.seek(last.offset)
+                length, _crc = _HEADER.unpack(handle.read(_HEADER.size))
+            self._index_cursor = WalPosition(
+                last.segment, last.offset + _HEADER.size + length
+            )
+        return index
+
+    def _refresh_index(self) -> dict[str, list[tuple[WalPosition, Any]]]:
+        """Bring the session index up to the log's end (index lock held)."""
+        if self._index is None:
+            self._index = self._build_index()
+        index = self._index
+        with self._lock:
+            if self._file is not None:
+                self._file.flush()
+            end = WalPosition(self._segment, self._offset)
+            truncated = self.truncated_segments
+        if end == self._index_cursor and truncated == self._index_truncated:
+            return index  # nothing appended or truncated since last read
+        segments = self.segments()
+        if truncated != self._index_truncated and segments:
+            # drop the records of the segments truncated since.
+            self._index_truncated = truncated
+            floor = segments[0]
+            for session, records in list(index.items()):
+                kept = [r for r in records if r[0].segment >= floor]
+                if kept:
+                    index[session] = kept
+                else:
+                    del index[session]
+            self._index_covers_all = [
+                p for p in self._index_covers_all if p.segment >= floor
+            ]
+        cursor = self._index_cursor
+        for segment in segments:
+            if segment < cursor.segment:
+                continue
+            offset = cursor.offset if segment == cursor.segment else 0
+            for position, end_offset, doc in self._segment_docs(
+                segment, offset, final=segment == segments[-1]
+            ):
+                self._index_frame(index, position, doc)
+                self._index_cursor = WalPosition(segment, end_offset)
+        return index
+
+    def _index_frame(
+        self,
+        index: dict[str, list[tuple[WalPosition, Any]]],
+        position: WalPosition,
+        doc: dict[str, Any],
+    ) -> None:
+        kind = doc.get("k")
+        if kind == "checkpoint" and doc.get("covers_all"):
+            self._index_covers_all.append(position)
+        else:
+            if isinstance(kind, str):
+                kind = sys.intern(kind)  # one string per kind, not per frame
+            session = str(doc.get("session", ""))
+            index.setdefault(session, []).append((position, kind))
+
+    def _segment_docs(
+        self, segment: int, offset: int, *, final: bool
+    ) -> Iterator[tuple[WalPosition, int, dict[str, Any]]]:
+        """Decoded frames of one segment from byte ``offset`` on, as
+        ``(position, end offset, doc)``, under :meth:`replay`'s rules;
+        the header frame (offset 0) is envelope-checked, not yielded."""
+        from repro.modeling.serialize import SerializationError, check_envelope
+
+        with open(self._segment_path(segment), "rb") as handle:
+            for at, payload in _read_frames(
+                handle, offset, mid_log=None if final else segment
+            ):
+                position = WalPosition(segment, at)
+                doc = _decode(payload, position)
+                if at != 0:
+                    yield position, at + _HEADER.size + len(payload), doc
+                elif doc.get("k") != "header":
+                    raise WalError(
+                        f"segment {segment} does not open with a "
+                        f"{WAL_FORMAT!r} header frame"
+                    )
+                else:
+                    try:
+                        check_envelope(
+                            doc, expected_format=WAL_FORMAT, max_version=WAL_VERSION
+                        )
+                    except SerializationError as exc:
+                        raise WalError(str(exc)) from exc
 
     def close(self) -> None:
         with self._lock:
