@@ -25,6 +25,7 @@ __all__ = [
     "Measurement",
     "measure",
     "least_noise",
+    "paired_rounds",
     "ResultTable",
     "fresh_model_based_broker",
     "fresh_handcrafted_broker",
@@ -209,6 +210,33 @@ def measure(
         fn()
         measurement.samples.append(time.perf_counter() - start)
     return measurement
+
+
+def paired_rounds(
+    *sides: Callable[[], float], rounds: int = 15
+) -> list[tuple[float, ...]]:
+    """Interleaved timing rounds over competing configurations.
+
+    Each side is a callable returning one timed sample (seconds).
+    After two discarded warm-up rounds, every round takes one sample per
+    side back to back — in argument order on even rounds, reversed on
+    odd ones — and yields them as a tuple in argument order.  Host
+    drift slower than a round cancels out of per-round ratios, and the
+    alternating order cancels drift *within* a round, so compare sides
+    by the median of per-round ratios rather than by statistics of
+    sample blocks taken seconds apart.
+    """
+    for _ in range(2):
+        for side in sides:
+            side()
+    order = range(len(sides))
+    samples = []
+    for index in range(rounds):
+        sample = [0.0] * len(sides)
+        for pos in order if index % 2 == 0 else reversed(order):
+            sample[pos] = sides[pos]()
+        samples.append(tuple(sample))
+    return samples
 
 
 class ResultTable:

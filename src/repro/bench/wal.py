@@ -4,10 +4,9 @@ Exercises :mod:`repro.runtime.wal` end to end and produces
 ``BENCH_PR7.json``:
 
 * **kill_recovery** — for each of the four shipped domains, a session
-  runs the two-phase workload through a
-  :class:`~repro.middleware.snapshot.DurableSession` (entry frames
-  written before dispatch, resource effects memoized, checkpoint
-  frames embedded snapshot-then-truncate).  The session is killed two
+  runs the two-phase workload durably (entry frames written before
+  dispatch, resource effects memoized, checkpoint frames embedded
+  snapshot-then-truncate).  The session is killed two
   ways — after the tail entry was applied but not checkpointed
   (recovery must *replay* the tail with memoized effects), and right
   after a checkpoint (recovery restores and the remaining work runs
@@ -30,6 +29,12 @@ Exercises :mod:`repro.runtime.wal` end to end and produces
   snapshot-then-truncate knob: more frequent checkpoints buy shorter
   recovery.
 
+Every durable session here is a one-session use of
+:class:`~repro.runtime.durability.ShardDurability` over its own
+:class:`~repro.runtime.wal.WriteAheadLog`, and every recovery goes
+through :func:`~repro.middleware.snapshot.recover_session` — the same
+front door the durable fabric uses.
+
 CLI front-end: ``repro bench-wal`` (``--quick`` shrinks repeats for
 the CI wal-smoke job); also ``python -m repro.bench.wal``.
 """
@@ -42,6 +47,7 @@ import statistics
 import sys
 import tempfile
 import time
+from functools import partial
 from pathlib import Path
 from typing import Any, Callable
 
@@ -57,6 +63,8 @@ from repro.bench.workloads import COMMUNICATION_SCENARIOS, Step
 __all__ = [
     "OVERHEAD_GATE_PCT",
     "apply_entry",
+    "execute_entry",
+    "checkpoint_platform",
     "kill_recovery_bench",
     "fabric_kill_bench",
     "e1_overhead_bench",
@@ -132,25 +140,48 @@ def _api_steps(steps: list[Step]) -> list[dict[str, Any]]:
 # -- kill-mid-workload recovery ---------------------------------------------
 
 
-def _durable_session(case: DomainCase, wal_dir: Path) -> tuple[Any, Any, Any]:
-    """(service, dsk, DurableSession) with a fresh platform + log."""
-    from repro.middleware.snapshot import DurableSession
+def _durable_session(
+    case: DomainCase, wal_dir: Path
+) -> tuple[Any, Any, Any, Any]:
+    """(service, dsk, platform, ShardDurability) with a fresh platform
+    + log."""
+    from repro.runtime.durability import ShardDurability
     from repro.runtime.wal import WriteAheadLog
 
     service, dsk, platform = _fresh_session(case)
-    wal = WriteAheadLog(wal_dir, fsync=False)
-    return service, dsk, DurableSession(platform, wal, session=case.name)
+    durability = ShardDurability(WriteAheadLog(wal_dir, fsync=False))
+    return service, dsk, platform, durability
+
+
+def execute_entry(
+    durability: Any, session: str, platform: Any, doc: dict[str, Any]
+) -> Any:
+    """One durable entry of ``session``, applied to ``platform``."""
+    return durability.execute(
+        session, doc, partial(apply_entry, platform),
+        resources=platform.broker.resources,
+    )
+
+
+def checkpoint_platform(
+    durability: Any, session: str, platform: Any
+) -> None:
+    from repro.middleware.snapshot import capture_snapshot
+
+    durability.checkpoint(session, capture_snapshot(platform).to_dict())
 
 
 def kill_recovery_bench(
     cases: list[DomainCase], golden: dict[str, bytes]
 ) -> dict[str, Any]:
     """Kill each domain's session mid-workload; recover exactly-once."""
-    from repro.middleware.snapshot import DurableSession
+    from repro.middleware.snapshot import recover_session
+    from repro.runtime.durability import ShardDurability
     from repro.runtime.wal import WriteAheadLog
 
     rows: list[dict[str, Any]] = []
     for case in cases:
+        session = case.name
         wal_dir = Path(tempfile.mkdtemp(prefix=f"wal-{case.name}-"))
         try:
             # -- scenario A: checkpoint, apply phase 2, kill before the
@@ -158,18 +189,22 @@ def kill_recovery_bench(
             # memoized effects: the service op_log already contains
             # phase 2's operations, so re-executing any of them would
             # diverge from golden.
-            service, dsk, durable = _durable_session(case, wal_dir)
-            durable.execute(_model_entry(case.phase1()), apply_entry)
-            durable.checkpoint()
-            durable.execute(_model_entry(case.phase2()), apply_entry)
-            durable.platform.stop()  # the kill: platform state is gone,
-            durable.wal.close()      # only the log + external world survive
+            service, dsk, platform, durable = _durable_session(case, wal_dir)
+            execute_entry(
+                durable, session, platform, _model_entry(case.phase1())
+            )
+            checkpoint_platform(durable, session, platform)
+            execute_entry(
+                durable, session, platform, _model_entry(case.phase2())
+            )
+            platform.stop()       # the kill: platform state is gone,
+            durable.wal.close()   # only the log + external world survive
             log_at_kill = _log_bytes(service)
 
             wal = WriteAheadLog(wal_dir, fsync=False)
             start = time.perf_counter()
-            recovered, report = DurableSession.recover(
-                wal, session=case.name, apply_entry=apply_entry, dsk=dsk
+            report = recover_session(
+                wal, session=session, apply_entry=apply_entry, dsk=dsk
             )
             replay_recover_ms = (time.perf_counter() - start) * 1000
             replay_identical = _log_bytes(service) == golden[case.name]
@@ -181,15 +216,15 @@ def kill_recovery_bench(
 
             # -- double recovery: kill again immediately; a second
             # replay must also leave the op_log untouched.
-            recovered.platform.stop()
-            recovered.wal.close()
+            report.platform.stop()
+            wal.close()
             wal = WriteAheadLog(wal_dir, fsync=False)
-            recovered2, _report2 = DurableSession.recover(
-                wal, session=case.name, apply_entry=apply_entry, dsk=dsk
+            report2 = recover_session(
+                wal, session=session, apply_entry=apply_entry, dsk=dsk
             )
             double_identical = _log_bytes(service) == golden[case.name]
-            recovered2.platform.stop()
-            recovered2.wal.close()
+            report2.platform.stop()
+            wal.close()
 
             row = {
                 "domain": case.name,
@@ -202,26 +237,31 @@ def kill_recovery_bench(
             }
 
             # -- scenario B: kill right after the checkpoint; recovery
-            # restores the snapshot and phase 2 then runs LIVE through
-            # the recovered durable session.
+            # restores the snapshot and phase 2 then runs LIVE on the
+            # recovered platform through the reopened log.
             shutil.rmtree(wal_dir)
             wal_dir.mkdir()
-            service, dsk, durable = _durable_session(case, wal_dir)
-            durable.execute(_model_entry(case.phase1()), apply_entry)
-            durable.checkpoint()
-            durable.platform.stop()
+            service, dsk, platform, durable = _durable_session(case, wal_dir)
+            execute_entry(
+                durable, session, platform, _model_entry(case.phase1())
+            )
+            checkpoint_platform(durable, session, platform)
+            platform.stop()
             durable.wal.close()
 
             wal = WriteAheadLog(wal_dir, fsync=False)
             start = time.perf_counter()
-            recovered, report = DurableSession.recover(
-                wal, session=case.name, apply_entry=apply_entry, dsk=dsk
+            report = recover_session(
+                wal, session=session, apply_entry=apply_entry, dsk=dsk
             )
             clean_recover_ms = (time.perf_counter() - start) * 1000
-            recovered.execute(_model_entry(case.phase2()), apply_entry)
+            execute_entry(
+                ShardDurability(wal), session, report.platform,
+                _model_entry(case.phase2()),
+            )
             resume_identical = _log_bytes(service) == golden[case.name]
-            recovered.platform.stop()
-            recovered.wal.close()
+            report.platform.stop()
+            wal.close()
 
             row.update({
                 "resume_live_identical": resume_identical,
@@ -260,7 +300,8 @@ def fabric_kill_bench(*, shards: int = 2) -> dict[str, Any]:
     it on a fresh fabric from the log + DSK and the workload finishes;
     the op_log must match the uninterrupted golden run.
     """
-    from repro.middleware.snapshot import DurableSession
+    from repro.middleware.snapshot import recover_session
+    from repro.runtime.durability import ShardDurability
     from repro.runtime.sharded import ShardedRuntime
     from repro.runtime.wal import WriteAheadLog
 
@@ -284,7 +325,6 @@ def fabric_kill_bench(*, shards: int = 2) -> dict[str, Any]:
     try:
         runtime = ShardedRuntime(shards, name="bench-wal-fabric")
         runtime.start()
-        service, dsk, _platform0 = (None, None, None)
         service = case.service()
         dsk = case.knowledge(service)
         holder: dict[str, Any] = {}
@@ -295,32 +335,35 @@ def fabric_kill_bench(*, shards: int = 2) -> dict[str, Any]:
             platform = load_platform(case.middleware(), dsk)
             if platform.controller is not None and case.context:
                 platform.controller.context.update(case.context)
-            wal = WriteAheadLog(wal_dir, fsync=False)
-            holder["durable"] = DurableSession(platform, wal, session=key)
+            holder["platform"] = platform
+            holder["durable"] = ShardDurability(
+                WriteAheadLog(wal_dir, fsync=False)
+            )
+
+        def execute(doc: dict[str, Any]) -> Any:
+            return execute_entry(
+                holder["durable"], key, holder["platform"], doc
+            )
 
         runtime.submit(key, build).result(timeout=30)
         runtime.submit(
+            key, lambda: execute(_model_entry(case.phase1()))
+        ).result(timeout=30)
+        runtime.submit(
             key,
-            lambda: holder["durable"].execute(
-                _model_entry(case.phase1()), apply_entry
+            lambda: checkpoint_platform(
+                holder["durable"], key, holder["platform"]
             ),
         ).result(timeout=30)
-        runtime.submit(key, lambda: holder["durable"].checkpoint()).result(
-            timeout=30
-        )
         for doc in steps[:cut]:
-            runtime.submit(
-                key,
-                lambda d=doc: holder["durable"].execute(d, apply_entry),
-            ).result(timeout=30)
+            runtime.submit(key, lambda d=doc: execute(d)).result(timeout=30)
 
         # The shard kill: stop the fabric, discard the platform, keep
         # only the log (flushed by stop) and the external service.
         start = time.perf_counter()
         runtime.stop()
-        durable = holder.pop("durable")
-        durable.platform.stop()
-        durable.wal.close()
+        holder.pop("platform").stop()
+        holder.pop("durable").wal.close()
         kill_ms = (time.perf_counter() - start) * 1000
 
         runtime = ShardedRuntime(shards, name="bench-wal-fabric2")
@@ -328,22 +371,20 @@ def fabric_kill_bench(*, shards: int = 2) -> dict[str, Any]:
 
         def recover() -> None:
             wal = WriteAheadLog(wal_dir, fsync=False)
-            recovered, report = DurableSession.recover(
+            report = recover_session(
                 wal, session=key, apply_entry=apply_entry, dsk=dsk
             )
-            holder["durable"] = recovered
+            holder["platform"] = report.platform
+            holder["durable"] = ShardDurability(wal)
             holder["report"] = report
 
         start = time.perf_counter()
         runtime.submit(key, recover).result(timeout=30)
         recover_ms = (time.perf_counter() - start) * 1000
         for doc in steps[cut:]:
-            runtime.submit(
-                key,
-                lambda d=doc: holder["durable"].execute(d, apply_entry),
-            ).result(timeout=30)
+            runtime.submit(key, lambda d=doc: execute(d)).result(timeout=30)
         runtime.stop()
-        holder["durable"].platform.stop()
+        holder["platform"].stop()
         holder["durable"].wal.close()
 
         identical = _log_bytes(service) == golden
@@ -370,7 +411,8 @@ def e1_overhead_bench(*, repeat: int = 15) -> dict[str, Any]:
 
     WAL-on logs every API step as a durable entry (a write-ahead
     ``entry`` frame, then one ``applied`` frame sealing the step's
-    memoized effects) through a :class:`DurableSession` with
+    memoized effects) through a one-session
+    :class:`~repro.runtime.durability.ShardDurability` with
     group-commit batching.
 
     The **gate** is measured in E1's calibrated regime —
@@ -389,7 +431,7 @@ def e1_overhead_bench(*, repeat: int = 15) -> dict[str, Any]:
     path's CPU cost.
     """
     from repro.bench.migrate import _ScenarioRunner
-    from repro.middleware.snapshot import DurableSession
+    from repro.runtime.durability import ShardDurability
     from repro.runtime.wal import WriteAheadLog
     from repro.sim.network import CommService
 
@@ -409,16 +451,19 @@ def e1_overhead_bench(*, repeat: int = 15) -> dict[str, Any]:
         runner = _ScenarioRunner(op_cost=op_cost)
         durable = None
         wal_dir = None
+        platform = runner.platform
         if wal_on:
             wal_dir = Path(tempfile.mkdtemp(prefix="wal-e1-"))
-            wal = WriteAheadLog(wal_dir, fsync=False, sync_every=256)
-            durable = DurableSession(runner.platform, wal, session="e1")
-        platform = runner.platform
+            durable = ShardDurability(
+                WriteAheadLog(wal_dir, fsync=False, sync_every=256)
+            )
+        apply = partial(apply_entry, platform)
+        resources = platform.broker.resources
 
         def run_pass() -> None:
             if durable is not None:
                 for doc in step_docs:
-                    durable.execute(doc, apply_entry)
+                    durable.execute("e1", doc, apply, resources=resources)
             else:
                 # the bare side runs the identical dispatcher over
                 # plain envelopes, so the delta isolates the durability
@@ -499,10 +544,10 @@ def e1_overhead_bench(*, repeat: int = 15) -> dict[str, Any]:
             wal = WriteAheadLog(
                 wal_dir, fsync=fsync, sync_every=sync_every
             )
-            durable = DurableSession(runner.platform, wal, session="e1")
+            durable = ShardDurability(wal)
             start = time.perf_counter()
             for doc in step_docs:
-                durable.execute(doc, apply_entry)
+                execute_entry(durable, "e1", runner.platform, doc)
             elapsed = time.perf_counter() - start
             profiles.append({
                 "sync_every": sync_every,
@@ -535,7 +580,7 @@ def recovery_latency_bench(
     *, tail_lengths: tuple[int, ...] = (0, 40, 160)
 ) -> dict[str, Any]:
     """Recovery wall time as a function of un-checkpointed tail length."""
-    from repro.middleware.snapshot import DurableSession
+    from repro.middleware.snapshot import recover_session
     from repro.runtime.wal import WriteAheadLog
 
     case = next(c for c in domain_cases() if c.name == "communication")
@@ -550,28 +595,32 @@ def recovery_latency_bench(
     for tail in tail_lengths:
         wal_dir = Path(tempfile.mkdtemp(prefix="wal-tail-"))
         try:
-            service, dsk, durable = _durable_session(case, wal_dir)
-            durable.execute(_model_entry(case.phase1()), apply_entry)
-            durable.checkpoint()
+            service, dsk, platform, durable = _durable_session(case, wal_dir)
+            session = case.name
+            execute_entry(
+                durable, session, platform, _model_entry(case.phase1())
+            )
+            checkpoint_platform(durable, session, platform)
             for index in range(tail):
-                durable.execute(
-                    base_docs[index % len(base_docs)], apply_entry
+                execute_entry(
+                    durable, session, platform,
+                    base_docs[index % len(base_docs)],
                 )
-            durable.platform.stop()
+            platform.stop()
             durable.wal.close()
             log_at_kill = _log_bytes(service)
 
             wal = WriteAheadLog(wal_dir, fsync=False)
             start = time.perf_counter()
-            recovered, report = DurableSession.recover(
-                wal, session=case.name, apply_entry=apply_entry, dsk=dsk
+            report = recover_session(
+                wal, session=session, apply_entry=apply_entry, dsk=dsk
             )
             recover_ms = (time.perf_counter() - start) * 1000
             assert _log_bytes(service) == log_at_kill, (
                 "recovery re-executed external effects"
             )
-            recovered.platform.stop()
-            recovered.wal.close()
+            report.platform.stop()
+            wal.close()
             rows.append({
                 "tail_entries": tail,
                 "recover_ms": recover_ms,

@@ -256,8 +256,8 @@ def e1_pool_overhead_bench(*, repeat: int = 15) -> dict[str, Any]:
     built by :meth:`DurabilityPolicy.open_shard`, paired
     alternating-order sampling, median of per-pair deltas, in E1's
     calibrated op-cost regime (the same bar and methodology as the
-    PR 7 ``DurableSession`` gate; group-commit fsync stays a separately
-    priced latency knob, see PR 7's ``sync_profiles``).
+    ``bench-wal`` E1 gate; group-commit fsync stays a separately
+    priced latency knob, see that bench's ``sync_profiles``).
 
     The same sweep at ``op_cost=0`` is reported as ``structural``
     (diagnostic).  ``fabric`` reports the end-to-end wall-clock delta

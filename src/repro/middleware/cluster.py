@@ -35,6 +35,10 @@ __all__ = [
     "prewarm_aot_cache",
 ]
 
+#: full checkpoint every N applies per session when the durability
+#: policy leaves ``checkpoint_every`` unset (0).
+DEFAULT_CHECKPOINT_EVERY = 8
+
 
 class ClusterBackendError(RuntimeError):
     """A worker-side session operation could not be performed."""
@@ -101,8 +105,7 @@ class RegistryBackend:
 
     def __init__(self, registry: DskRegistry | None = None, *,
                  aot: bool = False, aot_cache_dir: str | None = None,
-                 durability: Any = None, wal_dir: str | None = None,
-                 checkpoint_every: int = 8):
+                 durability: Any = None):
         self.registry = registry or default_registry()
         self.aot = aot
         self.aot_cache_dir = aot_cache_dir
@@ -115,8 +118,7 @@ class RegistryBackend:
         # or an explicit :meth:`enable_durability`; a bare backend built
         # for in-process use stays on the undurable hot path.
         self.durability_spec = durability
-        self.wal_dir = wal_dir
-        self.checkpoint_every = int(checkpoint_every)
+        self.wal_dir: str | None = None
         self.durability: Any = None
         self._policy: Any = None
         self._applies: dict[str, int] = {}
@@ -135,8 +137,6 @@ class RegistryBackend:
             self.aot = True
         if options.get("wal_dir"):
             self.wal_dir = str(options["wal_dir"])
-        if "checkpoint_every" in options:
-            self.checkpoint_every = int(options["checkpoint_every"])
         spec = options.get("durability", self.durability_spec)
         self.enable_durability(spec)
 
@@ -153,8 +153,6 @@ class RegistryBackend:
             return None
         if policy.log_root is None and self.wal_dir:
             policy.log_root = self.wal_dir
-        if policy.checkpoint_every:
-            self.checkpoint_every = int(policy.checkpoint_every)
         self._policy = policy
         index = self.worker_id if self.worker_id >= 0 else 0
         self.durability = policy.open_shard(index, name=f"worker-{index:02d}")
@@ -222,7 +220,9 @@ class RegistryBackend:
             resources=resources,
         )
         count = self._applies.get(session, 0) + 1
-        if self.checkpoint_every and count >= self.checkpoint_every:
+        every = (durability.policy.checkpoint_every
+                 or DEFAULT_CHECKPOINT_EVERY)
+        if count >= every:
             count = 0
             durability.checkpoint(session, self._capture_host(host))
         self._applies[session] = count

@@ -657,9 +657,10 @@ class PlatformPool:
             return self.runtime.submit(key, run, platform)
 
         def run_durable(target: Platform) -> Any:
-            # DurableSession.execute as a fabric default: write-ahead
-            # the entry frame, apply with the session's effect journal
-            # installed on the broker, seal the memoized effects.
+            # The one durable entry path (ShardDurability.execute):
+            # write-ahead the entry frame, apply with the session's
+            # effect journal installed on the broker, seal the memoized
+            # effects.
             resources = (
                 target.broker.resources if target.broker is not None else None
             )

@@ -60,7 +60,6 @@ __all__ = [
     "apply_snapshot",
     "restore_platform",
     "CheckpointScheduler",
-    "DurableSession",
     "RecoveryReport",
     "recover_session",
 ]
@@ -666,103 +665,3 @@ def recover_session(
     report.effects_live = journal.recorded
     return report
 
-
-class DurableSession:
-    """Write-ahead logging wrapper for one platform session.
-
-    Every unit of work enters through :meth:`execute`: the entry signal
-    is appended to the log *before* it is applied (write-ahead), the
-    broker's external operations are memoized while it runs, and an
-    ``applied`` frame seals the entry with its recorded effects.  :meth:`checkpoint`
-    embeds a full snapshot and truncates covered segments.  After a
-    crash, :func:`recover_session` (or
-    :meth:`DurableSession.recover`) rebuilds the exact pre-crash state
-    with external effects executed exactly once.
-    """
-
-    def __init__(
-        self,
-        platform: "Platform",
-        wal: Any,
-        *,
-        session: str | None = None,
-        journal: Any = None,
-    ) -> None:
-        from repro.runtime.wal import EffectJournal
-
-        self.platform = platform
-        self.wal = wal
-        self.session = session if session is not None else platform.name
-        self.journal = (
-            journal
-            if journal is not None
-            else EffectJournal(wal, session=self.session)
-        )
-        if platform.broker is not None:
-            platform.broker.resources.install_effect_journal(self.journal)
-        self.entries_logged = 0
-
-    def execute(
-        self,
-        entry_doc: dict[str, Any],
-        apply_entry: Callable[["Platform", Any], Any],
-        *,
-        topic: str = "session.entry",
-    ) -> Any:
-        """Durably log ``entry_doc`` then apply it.
-
-        ``apply_entry(platform, signal)`` receives the logged entry
-        signal (payload = ``entry_doc``) — the same callable is handed
-        to :func:`recover_session` so replay re-runs identical code.
-        """
-        # the payload aliases entry_doc: it is encoded into the log by
-        # log_call, and apply_entry receives the same dict the caller
-        # handed in.
-        journal = self.journal
-        signal = journal.log_call(topic, entry_doc)
-        self.entries_logged += 1
-        try:
-            return apply_entry(self.platform, signal)
-        finally:
-            journal.end_entry()
-
-    def checkpoint(self) -> SessionSnapshot:
-        snapshot = capture_snapshot(self.platform)
-        self.wal.checkpoint(snapshot.to_dict(), session=self.session)
-        return snapshot
-
-    def close(self) -> None:
-        """Detach from the log (drops the session from the truncation
-        floor; the platform itself is left to its owner)."""
-        self.wal.forget_session(self.session)
-        if self.platform.broker is not None:
-            self.platform.broker.resources.install_effect_journal(None)
-
-    @classmethod
-    def recover(
-        cls,
-        wal: Any,
-        *,
-        session: str,
-        apply_entry: Callable[["Platform", Any], Any],
-        dsk: "DomainKnowledge | None" = None,
-        platform: "Platform | None" = None,
-        bus: "EventBus | None" = None,
-        clock: "Clock | None" = None,
-        metrics: "MetricsRegistry | None" = None,
-    ) -> tuple["DurableSession", RecoveryReport]:
-        """Rebuild a durable session from its log after a crash."""
-        report = recover_session(
-            wal,
-            session=session,
-            apply_entry=apply_entry,
-            platform=platform,
-            dsk=dsk,
-            bus=bus,
-            clock=clock,
-            metrics=metrics,
-        )
-        durable = cls(
-            report.platform, wal, session=session, journal=report.journal
-        )
-        return durable, report

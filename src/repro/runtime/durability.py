@@ -1,22 +1,23 @@
-"""Fabric-level durability: a policy object plus its per-shard runtime.
+"""Durability: a policy object plus its per-shard runtime.
 
-PR7 shipped durability as a per-session opt-in wrapper
-(``DurableSession``); this module turns the same write-ahead /
-effect-journal / seal discipline into a *fabric property*.  A
+Every durable session in the repository goes through this module.  A
 :class:`DurabilityPolicy` describes how a fabric persists its sessions
 (log root, group-commit cadence, checkpoint strategy) and a
 :class:`ShardDurability` is that policy applied to one shard: one
 :class:`~repro.runtime.wal.WriteAheadLog` under ``wal-shard-NN/`` plus
 one cached :class:`~repro.runtime.wal.EffectJournal` per hosted
-session.
+session.  A single durable session outside a fabric is a one-session
+use of the same class, ``ShardDurability(WriteAheadLog(directory))``,
+and :func:`~repro.middleware.snapshot.recover_session` is the one
+recovery path for both.
 
-The per-entry hot path is byte-identical to ``DurableSession.execute``:
+The per-entry hot path is :meth:`ShardDurability.execute`:
 ``journal.log_call`` write-aheads the entry frame, the caller applies
-it, ``journal.end_entry`` seals the memoized effects.  What changes is
-ownership — the shard owns the log and hands sessions their journals,
-so every session hosted on a durable fabric is durable without opting
-in, and migration can move a session's truncation floor and tail
-between shard logs (:meth:`ShardDurability.export_session` /
+it, ``journal.end_entry`` seals the memoized effects.  The shard owns
+the log and hands sessions their journals, so every session hosted on
+a durable fabric is durable without opting in, and migration can move
+a session's truncation floor and tail between shard logs
+(:meth:`ShardDurability.export_session` /
 :meth:`ShardDurability.import_session`).
 """
 
@@ -162,12 +163,16 @@ class ShardDurability:
         topic: str = "session.entry",
         resources: Any = None,
     ) -> Any:
-        """``DurableSession.execute`` as a shard service.
+        """Durably log ``entry_doc`` as ``session``'s next entry, then
+        apply it.
 
         Write-aheads ``entry_doc`` as the session's next entry signal,
         installs the session's journal on ``resources`` (a duck-typed
         ``ResourceManager``) if it is not already the active one, runs
-        ``apply(signal)``, and seals the memoized effects.
+        ``apply(signal)``, and seals the memoized effects.  Recovery
+        hands the same logged signal to the ``apply_entry`` callable of
+        :func:`~repro.middleware.snapshot.recover_session`, so replay
+        re-runs identical code.
         """
         journal = self.journal(session)
         if resources is not None and resources.effect_journal is not journal:

@@ -108,13 +108,10 @@ class Shard:
         )
         self.mailbox = Mailbox(self.name, on_error=self._on_task_error)
         self.task_errors: list[Exception] = []
-        #: optional per-shard write-ahead log (see
-        #: ShardedRuntime.attach_wal): fabric-routed signals append
-        #: here before dispatch.
-        self.wal: Any = None
         #: optional ShardDurability (see ShardedRuntime.attach_durability):
         #: the fabric's DurabilityPolicy applied to this shard — owns
-        #: ``wal`` plus the per-session effect journals.
+        #: the shard's write-ahead log (fabric-routed signals append
+        #: there before dispatch) plus the per-session effect journals.
         self.durability: Any = None
         self.started = False
 
@@ -360,42 +357,12 @@ class ShardedRuntime:
         for shard in self.shards:
             shard.stop(timeout=timeout)
         for shard in self.shards:
-            if shard.wal is not None:
-                shard.wal.sync()
+            if shard.durability is not None:
+                shard.durability.wal.sync()
         self.started = False
         return self
 
-    # -- durability (PR 7) -------------------------------------------------
-
-    def attach_wal(
-        self,
-        directory: Any,
-        *,
-        sync_every: int = 64,
-        fsync: bool = True,
-    ) -> list[Any]:
-        """Give every shard a write-ahead log under ``directory``.
-
-        Each shard logs to its own subdirectory (``shard0``, ...), so
-        appends never contend across shards and recovery is per-shard
-        parallel.  Signals routed through :meth:`route_signal` are
-        appended before dispatch.  Returns the logs, shard-ordered.
-        """
-        from pathlib import Path
-
-        from repro.runtime.wal import WriteAheadLog
-
-        root = Path(directory)
-        logs = []
-        for shard in self.shards:
-            shard.wal = WriteAheadLog(
-                root / f"shard{shard.index}",
-                name=f"{self.name}-s{shard.index}",
-                sync_every=sync_every,
-                fsync=fsync,
-            )
-            logs.append(shard.wal)
-        return logs
+    # -- durability --------------------------------------------------------
 
     def attach_durability(self, policy: Any = None) -> list[Any]:
         """Apply a :class:`~repro.runtime.durability.DurabilityPolicy`
@@ -404,9 +371,8 @@ class ShardedRuntime:
         Each shard gets a :class:`~repro.runtime.durability.ShardDurability`
         — its own ``wal-shard-NN/`` log under the policy's root plus
         per-session effect journals — so every hosted session is
-        durable without opting in.  ``shard.wal`` aliases the
-        durability log, which keeps :meth:`route_signal`'s write-ahead
-        of fabric signals on the same per-shard file.  Returns the
+        durable without opting in; :meth:`route_signal` write-aheads
+        fabric signals to the same per-shard log.  Returns the
         shard-ordered durability runtimes (empty when the policy is
         ``"off"``).
         """
@@ -421,7 +387,6 @@ class ShardedRuntime:
                 shard.index, name=f"{self.name}-s{shard.index}"
             )
             shard.durability = durability
-            shard.wal = durability.wal
             durables.append(durability)
         return durables
 
@@ -430,10 +395,6 @@ class ShardedRuntime:
             if shard.durability is not None:
                 shard.durability.close()
                 shard.durability = None
-                shard.wal = None
-            elif shard.wal is not None:
-                shard.wal.close()
-                shard.wal = None
 
     def __enter__(self) -> "ShardedRuntime":
         return self.start()
@@ -488,14 +449,16 @@ class ShardedRuntime:
         intact either way.
         """
         target = self.shard_for(key)
-        if target.wal is not None:
+        if target.durability is not None:
             # Write-ahead: the signal frame (with its causal chain) is
             # durable before any subscriber observes it.  Tolerant
             # encoding — fabric payloads may hold non-JSON values; the
             # fabric log is for recovery *scoping* and time-travel
             # replay, while entry-level exactly-once goes through
-            # DurableSession/EffectJournal.
-            target.wal.append_entry(signal, session=str(key), strict=False)
+            # ShardDurability.execute and its effect journals.
+            target.durability.wal.append_entry(
+                signal, session=str(key), strict=False
+            )
         if current_shard() is target:
             target.bus.publish(signal)
             return

@@ -371,6 +371,34 @@ class TestPoolDurability:
             assert outcome.status == outcome.FAILED
             assert outcome.error is not None
 
+    def test_route_signal_writes_ahead_to_owning_shard_log(self):
+        """A fabric-routed signal's entry frame is already in the owning
+        shard's log when a subscriber on that shard's bus receives it
+        (matched by causal chain: the channel delivers a derived copy)."""
+        from repro.runtime.events import Event
+
+        with make_pool(shards=2, inline=True) as pool:
+            key = "routed-durable"
+            shard = pool.shard_for(key)
+            logged_at_delivery = []
+
+            def on_routed(signal):
+                logged_at_delivery.append([
+                    doc for _pos, doc in shard.durability.wal.replay()
+                    if doc["k"] == "entry" and doc["session"] == key
+                    and doc["sig"]["trace_id"] == signal.trace_id
+                ])
+
+            shard.bus.subscribe("fabric.routed", on_routed)
+            pool.route_signal(
+                Event(topic="fabric.routed", payload={"n": 1}), key=key
+            )
+            pool.drain()
+            assert len(logged_at_delivery) == 1
+            [frame] = logged_at_delivery[0]
+            assert frame["sig"]["kind"] == "event"
+            assert frame["sig"]["topic"] == "fabric.routed"
+
     def test_close_session_logs_typed_close_frame(self):
         with make_pool(shards=2, inline=True) as pool:
             pool.attach_cluster(None, apply=_apply_doc)
