@@ -8,7 +8,7 @@ indexed bus beats a linear-scan reference by a growing margin as cold
 subscribers are added.
 
 Regenerates: the ``bus_scaling`` rows of ``BENCH_PR1.json``
-(``python -m repro.bench.harness``).
+(``repro bench fabric``).
 """
 
 from __future__ import annotations

@@ -11,6 +11,7 @@ Subpackages:
   (communication, microgrid, smart spaces, crowdsensing).
 * :mod:`repro.baselines` — handcrafted/non-adaptive comparators.
 * :mod:`repro.bench` — benchmark harness utilities.
+* :mod:`repro.cases` — the shipped domains' session cases.
 """
 
 __version__ = "1.0.0"

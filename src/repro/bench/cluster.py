@@ -25,19 +25,18 @@ Four sections, correctness gated before speed is reported:
   identical to each other and to the golden: frame ordering across
   sessions is free, per-session FIFO is what determinism rests on.
 
-CLI front-end: ``repro bench-cluster`` (``--quick`` shrinks the
-workload for the CI cluster-smoke job); also
-``python -m repro.bench.cluster``.
+``repro bench cluster`` writes ``BENCH_PR9.json`` and checks it
+(``--quick`` shrinks the workload for CI).
 """
 
 from __future__ import annotations
 
-import json
 import random
 import sys
 import time
 from typing import Any
 
+from repro.bench.gates import Check, compare, holds, is_quick
 from repro.bench.scale import BLOCKING_SECONDS_PER_UNIT, build_workload
 from repro.bench.workloads import Step
 
@@ -49,7 +48,8 @@ __all__ = [
     "cross_process_migration_bench",
     "fault_bench",
     "determinism_bench",
-    "write_bench_json",
+    "run",
+    "check",
 ]
 
 #: throughput acceptance bar at 4 worker processes vs 1.
@@ -262,7 +262,8 @@ def throughput_bench(
 
 def cross_process_migration_bench() -> dict[str, Any]:
     """Migrate each domain's session across the process boundary."""
-    from repro.bench.migrate import domain_cases, golden_logs
+    from repro.bench.migrate import golden_logs
+    from repro.cases import domain_cases
     from repro.modeling.serialize import model_to_dict
     from repro.runtime.cluster import ProcessCluster
 
@@ -467,54 +468,55 @@ def determinism_bench(*, sessions: int = 8, seed: int = 20260808,
 # -- report ------------------------------------------------------------------
 
 
-def write_bench_json(
-    path: str = "BENCH_PR9.json", *, quick: bool = False
-) -> dict[str, Any]:
-    """Run the PR 9 cluster benchmarks and write the JSON report."""
-    throughput = throughput_bench(
-        sessions=24 if quick else 200,
-        worker_counts=(1, 2) if quick else (1, 2, 4),
-    )
-    if not quick and not throughput["meets_3x_at_4_workers"]:
-        raise AssertionError(
-            f"session-step throughput at 4 workers is only "
-            f"{throughput['speedup_steps_4_workers_vs_1']:.2f}x the "
-            f"1-worker run (acceptance bar: >= {SPEEDUP_GATE}x)"
-        )
-    migration = cross_process_migration_bench()
-    fault = fault_bench(sessions=6 if quick else 8)
-    determinism = determinism_bench(sessions=6 if quick else 8)
-    results: dict[str, Any] = {
+def run(quick: bool = False) -> dict[str, Any]:
+    """The process-fabric report (``BENCH_PR9.json``)."""
+    return {
         "bench": "PR9-process-fabric",
         "python": sys.version.split()[0],
         "quick": quick,
-        "throughput": throughput,
-        "migration": migration,
-        "fault": fault,
-        "determinism": determinism,
+        "throughput": throughput_bench(
+            sessions=24 if quick else 200,
+            worker_counts=(1, 2) if quick else (1, 2, 4),
+        ),
+        "migration": cross_process_migration_bench(),
+        "fault": fault_bench(sessions=6 if quick else 8),
+        "determinism": determinism_bench(sessions=6 if quick else 8),
     }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(results, handle, indent=2)
-        handle.write("\n")
-    return results
 
 
-def main(argv: list[str] | None = None) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.bench.cluster",
-        description="multi-process session fabric benchmarks "
-                    "(writes BENCH_PR9.json)",
-    )
-    parser.add_argument("--output", default="BENCH_PR9.json")
-    parser.add_argument("--quick", action="store_true",
-                        help="smaller workload (CI cluster-smoke)")
-    args = parser.parse_args(argv)
-    results = write_bench_json(args.output, quick=args.quick)
-    print(json.dumps(results, indent=2))
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+def check(report: dict[str, Any]) -> list[Check]:
+    """Every cluster run byte-identical to the inline run, cross-process
+    migration in all four domains, a SIGKILLed worker surfacing only as
+    typed rejections with one restart, and seeded reordering changing
+    nothing.  The 4-worker speedup gate holds on full runs only (shared
+    two-core runners cannot show it)."""
+    runs = report["throughput"]["runs"]
+    migration = report["migration"]
+    fault = report["fault"]
+    lines = [
+        holds("every run's op_logs identical to inline",
+              all(run["op_logs_identical"] for run in runs)),
+        compare("worker restarts during throughput runs",
+                sum(run["restarts"] for run in runs), "==", 0),
+        holds("op_logs identical after cross-process migration",
+              migration["all_identical"]),
+        compare("domains migrated", len(migration["domains"]), "==", 4),
+        holds("worker kill: op_logs identical", fault["op_logs_identical"]),
+        compare("worker kill: unresolved futures",
+                fault["unresolved_futures"], "==", 0),
+        compare("worker kill: untyped failures",
+                fault["untyped_failures"], "==", 0),
+        compare("worker kill: typed WORKER_DEAD rejections",
+                fault["rejected_worker_dead"], ">", 0),
+        compare("worker kill: (deaths, restarts)",
+                (fault["deaths"], fault["restarts"]), "==", (1, 1)),
+        holds("seeded frame reordering: op_logs identical",
+              report["determinism"]["op_logs_identical"]),
+    ]
+    if not is_quick(report):
+        lines.append(compare(
+            "step throughput at 4 workers vs 1 (x)",
+            report["throughput"]["speedup_steps_4_workers_vs_1"], ">=",
+            SPEEDUP_GATE,
+        ))
+    return lines

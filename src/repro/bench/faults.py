@@ -21,16 +21,15 @@ calls — and reports:
 Everything runs on a :class:`~repro.runtime.clock.VirtualClock`, so
 the numbers are reproducible bit-for-bit for a given seed.
 
-``python -m repro.bench.faults`` (or ``repro bench-faults``) writes
-``BENCH_PR2.json``.
+``repro bench faults`` writes ``BENCH_PR2.json`` and checks it.
 """
 
 from __future__ import annotations
 
-import json
 import sys
 from typing import Any
 
+from repro.bench.gates import Check, compare, holds
 from repro.middleware.broker.autonomic import Symptom
 from repro.middleware.broker.layer import BrokerLayer
 from repro.middleware.broker.resource import TransientResourceError
@@ -48,7 +47,8 @@ __all__ = [
     "breaker_outage_demo",
     "determinism_check",
     "guard_overhead_bench",
-    "write_bench_json",
+    "run",
+    "check",
 ]
 
 #: Retry policy used throughout: transient faults only, exponential
@@ -398,9 +398,10 @@ def guard_overhead_bench(*, calls: int = 20000) -> dict[str, Any]:
     return rows
 
 
-def write_bench_json(path: str = "BENCH_PR2.json") -> dict[str, Any]:
-    """Run the fault benchmarks and write the JSON report."""
-    results = {
+def run(quick: bool = False) -> dict[str, Any]:
+    """The fault-tolerance report (``BENCH_PR2.json``); one size, so
+    ``quick`` is ignored."""
+    return {
         "bench": "PR2-fault-tolerance",
         "python": sys.version.split()[0],
         "recovery": run_recovery_episodes(),
@@ -408,25 +409,28 @@ def write_bench_json(path: str = "BENCH_PR2.json") -> dict[str, Any]:
         "determinism": determinism_check(),
         "guard_overhead": guard_overhead_bench(),
     }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(results, handle, indent=2)
-        handle.write("\n")
-    return results
 
 
-def main(argv: list[str] | None = None) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.bench.faults",
-        description="fault-tolerance benchmarks (writes BENCH_PR2.json)",
-    )
-    parser.add_argument("--output", default="BENCH_PR2.json")
-    args = parser.parse_args(argv)
-    results = write_bench_json(args.output)
-    print(json.dumps(results, indent=2))
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+def check(report: dict[str, Any]) -> list[Check]:
+    """E5 under injected faults: a hostile substrate, no unhandled
+    exception, measured recoveries, a reproducible fault trace and a
+    breaker that walks back to closed."""
+    recovery = report["recovery"]
+    return [
+        compare("injected failure rate", recovery["failure_rate"], ">=", 0.10),
+        compare(
+            "unhandled exceptions", recovery["unhandled_exceptions"], "==", 0
+        ),
+        compare(
+            "recoveries measured",
+            recovery["recovery_latency"].get("count", 0), ">", 0,
+        ),
+        holds(
+            "same seed replays the same fault trace",
+            report["determinism"]["replay_matches"],
+        ),
+        compare(
+            "breaker state after the outage",
+            report["breaker_outage"]["final_state"], "==", "closed",
+        ),
+    ]

@@ -7,7 +7,6 @@ paths consistently, and print the rows that EXPERIMENTS.md records.
 
 from __future__ import annotations
 
-import json
 import statistics
 import sys
 import time
@@ -15,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Sequence
 
 from repro.baselines.handcrafted_broker import HandcraftedBroker
+from repro.bench.gates import Check
 from repro.bench.workloads import Step
 from repro.middleware.broker.layer import BrokerLayer
 from repro.runtime.metrics import MetricsRegistry
@@ -32,7 +32,8 @@ __all__ = [
     "bus_scaling_bench",
     "e1_quick_bench",
     "e1_paired_bench",
-    "write_bench_json",
+    "run",
+    "check",
 ]
 
 
@@ -526,33 +527,17 @@ def e1_paired_bench(*, repeat: int = 15, aot: bool = False) -> dict[str, Any]:
     }
 
 
-def write_bench_json(path: str = "BENCH_PR1.json") -> dict[str, Any]:
-    """Run the signal-fabric benchmarks and write the JSON report."""
-    results = {
+def run(quick: bool = False) -> dict[str, Any]:
+    """The signal-fabric report (``BENCH_PR1.json``); one size, so
+    ``quick`` is ignored."""
+    return {
         "bench": "PR1-signal-fabric",
         "python": sys.version.split()[0],
         "bus_scaling": bus_scaling_bench(),
         "e1": e1_quick_bench(),
     }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(results, handle, indent=2)
-        handle.write("\n")
-    return results
 
 
-def main(argv: list[str] | None = None) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.bench.harness",
-        description="signal-fabric micro-benchmarks (writes BENCH_PR1.json)",
-    )
-    parser.add_argument("--output", default="BENCH_PR1.json")
-    args = parser.parse_args(argv)
-    results = write_bench_json(args.output)
-    print(json.dumps(results, indent=2))
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+def check(report: dict[str, Any]) -> list[Check]:
+    """The fabric report is a measurement record; it carries no gate."""
+    return []

@@ -23,7 +23,7 @@ back:
    admitted sessions keep bounded latency and goodput stays near
    capacity.
 
-Acceptance gates (asserted on full runs, reported on ``--quick``):
+Acceptance gates (``check``; the two perf gates on full runs only):
 admitted-request p99 under overload <= ``P99_GATE`` x the unloaded
 p99, goodput >= ``GOODPUT_GATE`` of measured capacity, zero unhandled
 exceptions anywhere, and every completed session's op_log is
@@ -32,20 +32,19 @@ A seeded VirtualClock determinism check replays one arrival pattern
 twice through an inline fabric and requires identical shed/admit
 traces.
 
-CLI front-end: ``repro bench-ingress`` (``--quick`` shrinks the
-workload for the CI ingress-smoke job); also
-``python -m repro.bench.ingress``.
+``repro bench ingress`` writes ``BENCH_PR6.json`` and checks it
+(``--quick`` shrinks the workload for CI).
 """
 
 from __future__ import annotations
 
 import asyncio
-import json
 import random
 import sys
 import time
 from typing import Any
 
+from repro.bench.gates import Check, compare, holds, is_quick
 from repro.bench.harness import least_noise
 from repro.bench.scale import SessionSpec, _SessionState, build_workload
 from repro.runtime.clock import VirtualClock
@@ -64,7 +63,8 @@ __all__ = [
     "ingress_bench",
     "open_loop_run",
     "closed_loop_capacity",
-    "write_bench_json",
+    "run",
+    "check",
 ]
 
 #: shard count for every threaded run (the PR 4 sweet spot: service
@@ -461,11 +461,9 @@ def ingress_bench(*, sessions: int = 320, repeats: int = 5) -> dict[str, Any]:
     }
 
 
-def write_bench_json(
-    path: str = "BENCH_PR6.json", *, quick: bool = False
-) -> dict[str, Any]:
-    """Run the PR 6 ingress benchmarks and write the JSON report."""
-    results: dict[str, Any] = {
+def run(quick: bool = False) -> dict[str, Any]:
+    """The ingress admission/shedding report (``BENCH_PR6.json``)."""
+    return {
         "bench": "PR6-ingress-admission",
         "python": sys.version.split()[0],
         "quick": quick,
@@ -473,57 +471,34 @@ def write_bench_json(
             sessions=64 if quick else 320, repeats=1 if quick else 5
         ),
     }
-    ingress = results["ingress"]
-    # Correctness gates hold even on quick CI runs; the latency and
-    # goodput gates are enforced only on committed full runs (same
-    # precedent as the PR 4/PR 5 benchmarks: smoke boxes are noisy).
-    if ingress["unhandled_exceptions"]:
-        raise AssertionError(
-            f"{ingress['unhandled_exceptions']} unhandled exception(s) "
-            f"escaped to shard error lists"
-        )
-    if ingress["op_log_mismatches"]:
-        raise AssertionError(
-            f"completed sessions diverged from the synchronous op_logs: "
-            f"{ingress['op_log_mismatches'][:5]}"
-        )
-    if not ingress["determinism"]["deterministic"]:
-        raise AssertionError("seeded shedding trace was not reproducible")
-    if not quick:
-        if not ingress["meets_p99_gate"]:
-            raise AssertionError(
-                f"admitted p99 under overload is "
-                f"{ingress['p99_ratio_shed_on_vs_unloaded']:.2f}x the "
-                f"unloaded p99 (gate: <= {P99_GATE}x)"
-            )
-        if not ingress["meets_goodput_gate"]:
-            raise AssertionError(
-                f"goodput under overload is only "
-                f"{ingress['goodput_fraction_of_capacity']:.0%} of "
-                f"capacity (gate: >= {GOODPUT_GATE:.0%})"
-            )
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(results, handle, indent=2)
-        handle.write("\n")
-    return results
 
 
-def main(argv: list[str] | None = None) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.bench.ingress",
-        description="ingress admission/shedding benchmarks "
-                    "(writes BENCH_PR6.json)",
-    )
-    parser.add_argument("--output", default="BENCH_PR6.json")
-    parser.add_argument("--quick", action="store_true",
-                        help="smaller workload (CI ingress-smoke)")
-    args = parser.parse_args(argv)
-    results = write_bench_json(args.output, quick=args.quick)
-    print(json.dumps(results, indent=2))
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+def check(report: dict[str, Any]) -> list[Check]:
+    """Correctness on every run: no unhandled exception, admitted
+    sessions byte-identical to the synchronous runs, reproducible seeded
+    shedding, and an overload that both sheds and completes sessions.
+    The latency and goodput gates hold on full runs only (shared
+    runners are too noisy for them)."""
+    ingress = report["ingress"]
+    shed_on = ingress["overload_shed_on"]
+    lines = [
+        compare("unhandled exceptions", ingress["unhandled_exceptions"],
+                "==", 0),
+        compare("sessions whose op_log diverged",
+                len(ingress["op_log_mismatches"]), "==", 0),
+        holds("seeded shedding trace reproducible",
+              ingress["determinism"]["deterministic"]),
+        compare("sessions shed at entry under overload",
+                shed_on["shed_entry_sessions"], ">", 0),
+        compare("sessions completed under overload",
+                shed_on["completed_sessions"], ">", 0),
+    ]
+    if not is_quick(report):
+        lines += [
+            compare("admitted p99 under overload (x unloaded)",
+                    ingress["p99_ratio_shed_on_vs_unloaded"], "<=", P99_GATE),
+            compare("goodput under overload (fraction of capacity)",
+                    ingress["goodput_fraction_of_capacity"], ">=",
+                    GOODPUT_GATE),
+        ]
+    return lines

@@ -27,213 +27,35 @@ The report also times checkpoint capture/restore, snapshot sizes, and
 gates checkpoint overhead on the E1 hot path at <= 5% while an
 attached scheduler is idle.
 
-CLI front-end: ``repro bench-migrate`` (``--quick`` shrinks repeats
-for the CI migrate-smoke job); also ``python -m repro.bench.migrate``.
+``repro bench migrate`` writes ``BENCH_PR5.json`` and checks it
+(``--quick`` shrinks repeats for CI).
 """
 
 from __future__ import annotations
 
-import json
 import statistics
 import sys
 import time
-from pathlib import Path
-from typing import Any, Callable
+from typing import Any
 
+from repro.bench.gates import Check, bound, compare, holds
 from repro.bench.scale import BLOCKING_SECONDS_PER_UNIT
 from repro.bench.workloads import COMMUNICATION_SCENARIOS, Step
+from repro.cases import DomainCase, domain_cases, fresh_session
 
 __all__ = [
-    "DomainCase",
-    "domain_cases",
+    "golden_logs",
     "recovery_bench",
     "migration_bench",
     "checkpoint_overhead_bench",
     "rebalance_bench",
-    "write_bench_json",
+    "run",
+    "check",
 ]
 
 #: checkpoint overhead admitted on the E1 hot path with an idle
 #: scheduler attached (acceptance gate, percent).
 OVERHEAD_GATE_PCT = 5.0
-
-
-class DomainCase:
-    """One domain's two-phase session workload.
-
-    ``service`` builds a fresh simulated resource (the external world
-    whose ``op_log`` is the correctness witness), ``knowledge`` wraps
-    it in the domain's DSK, ``middleware`` builds the shipped
-    middleware model, and ``phase1``/``phase2`` build the application
-    model before and after the in-session edit.
-    """
-
-    __slots__ = (
-        "name", "service", "knowledge", "middleware", "context",
-        "phase1", "phase2",
-    )
-
-    def __init__(
-        self,
-        name: str,
-        *,
-        service: Callable[[], Any],
-        knowledge: Callable[[Any], Any],
-        middleware: Callable[[], Any],
-        context: dict[str, Any],
-        phase1: Callable[[], Any],
-        phase2: Callable[[], Any],
-    ) -> None:
-        self.name = name
-        self.service = service
-        self.knowledge = knowledge
-        self.middleware = middleware
-        self.context = context
-        self.phase1 = phase1
-        self.phase2 = phase2
-
-
-def domain_cases() -> list[DomainCase]:
-    """The four domains' two-phase workloads."""
-    from repro.domains.communication.cml import (
-        CmlBuilder,
-        cml_constraints,
-        cml_metamodel,
-    )
-    from repro.domains.communication.cvm import (
-        build_middleware_model as comm_middleware,
-        default_context as comm_context,
-    )
-    from repro.domains.crowdsensing.csml import (
-        QueryBuilder,
-        csml_constraints,
-        csml_metamodel,
-    )
-    from repro.domains.crowdsensing.csvm import (
-        build_middleware_model as cs_middleware,
-    )
-    from repro.domains.microgrid.mgridml import (
-        MGridBuilder,
-        mgridml_constraints,
-        mgridml_metamodel,
-    )
-    from repro.domains.microgrid.mgridvm import (
-        build_middleware_model as grid_middleware,
-        default_context as grid_context,
-    )
-    from repro.domains.smartspace.ssml import (
-        SpaceBuilder,
-        ssml_constraints,
-        ssml_metamodel,
-    )
-    from repro.domains.smartspace.ssvm import build_full_model
-    from repro.middleware.loader import DomainKnowledge
-    from repro.sim.fleet import DeviceFleet
-    from repro.sim.network import CommService
-    from repro.sim.plant import PlantController
-    from repro.sim.space import SmartSpace
-
-    def comm_model(extended: bool) -> Any:
-        builder = CmlBuilder("conference")
-        alice = builder.person("alice", role="initiator")
-        bob = builder.person("bob")
-        builder.connection("c1", [alice, bob], media=["audio"])
-        if extended:
-            carol = builder.person("carol")
-            builder.connection("c2", [alice, carol], media=["text"])
-        return builder.build()
-
-    def grid_model(extended: bool) -> Any:
-        builder = MGridBuilder("home", grid_import_limit=5000.0)
-        builder.device("heater", "load", 300.0, mode="on")
-        builder.device("solar1", "generator", 2000.0, mode="on", priority=2)
-        if extended:
-            builder.device("cooler", "load", 150.0, mode="on")
-        return builder.build()
-
-    def space_model(extended: bool) -> Any:
-        builder = SpaceBuilder("lab")
-        builder.smart_object("lamp1", kind="lamp", settings={"light": 0})
-        builder.smart_object("door1", kind="door", settings={"locked": True})
-        if extended:
-            builder.smart_object("fan1", kind="fan", settings={"speed": 0})
-        return builder.build()
-
-    def sensing_model(extended: bool) -> Any:
-        builder = QueryBuilder("air")
-        builder.query("t1", "temperature")
-        if extended:
-            builder.query("n1", "noise", aggregate="max")
-        return builder.build()
-
-    def fleet_with_devices() -> DeviceFleet:
-        fleet = DeviceFleet("fleet0", op_cost=0.0)
-        for index in range(3):
-            fleet.op_register_device(f"d{index}")  # direct: not op-logged
-        return fleet
-
-    return [
-        DomainCase(
-            "communication",
-            service=lambda: CommService("net0", op_cost=0.0),
-            knowledge=lambda svc: DomainKnowledge(
-                dsml=cml_metamodel(), resources=[svc],
-                constraints=cml_constraints(),
-            ),
-            middleware=comm_middleware,
-            context=comm_context(),
-            phase1=lambda: comm_model(False),
-            phase2=lambda: comm_model(True),
-        ),
-        DomainCase(
-            "microgrid",
-            service=lambda: PlantController("plant0", op_cost=0.0),
-            knowledge=lambda svc: DomainKnowledge(
-                dsml=mgridml_metamodel(), resources=[svc],
-                constraints=mgridml_constraints(),
-            ),
-            middleware=grid_middleware,
-            context=grid_context(),
-            phase1=lambda: grid_model(False),
-            phase2=lambda: grid_model(True),
-        ),
-        DomainCase(
-            "smartspace",
-            service=lambda: SmartSpace("space0", op_cost=0.0),
-            knowledge=lambda svc: DomainKnowledge(
-                dsml=ssml_metamodel(), resources=[svc],
-                constraints=ssml_constraints(),
-            ),
-            middleware=build_full_model,
-            context={},
-            phase1=lambda: space_model(False),
-            phase2=lambda: space_model(True),
-        ),
-        DomainCase(
-            "crowdsensing",
-            service=fleet_with_devices,
-            knowledge=lambda svc: DomainKnowledge(
-                dsml=csml_metamodel(), resources=[svc],
-                constraints=csml_constraints(),
-            ),
-            middleware=cs_middleware,
-            context={"fleet_battery": 100.0, "coverage_mode": "full"},
-            phase1=lambda: sensing_model(False),
-            phase2=lambda: sensing_model(True),
-        ),
-    ]
-
-
-def _fresh_session(case: DomainCase) -> tuple[Any, Any, Any]:
-    """(service, dsk, started platform) for one session of ``case``."""
-    from repro.middleware.loader import load_platform
-
-    service = case.service()
-    dsk = case.knowledge(service)
-    platform = load_platform(case.middleware(), dsk)
-    if platform.controller is not None and case.context:
-        platform.controller.context.update(case.context)
-    return service, dsk, platform
 
 
 def _log_bytes(service: Any) -> bytes:
@@ -244,7 +66,7 @@ def golden_logs(cases: list[DomainCase]) -> dict[str, bytes]:
     """Uninterrupted two-phase runs: the per-domain golden op_logs."""
     golden: dict[str, bytes] = {}
     for case in cases:
-        service, _dsk, platform = _fresh_session(case)
+        service, _dsk, platform = fresh_session(case)
         try:
             platform.run_model(case.phase1())
             platform.run_model(case.phase2())
@@ -273,7 +95,7 @@ def recovery_bench(
 
     rows: list[dict[str, Any]] = []
     for case in cases:
-        service, dsk, platform = _fresh_session(case)
+        service, dsk, platform = fresh_session(case)
         platform.run_model(case.phase1())
 
         capture_samples = []
@@ -665,82 +487,51 @@ def rebalance_bench(
 # -- report ------------------------------------------------------------------
 
 
-def _pr4_e1_baseline(directory: Path) -> float | None:
-    candidate = directory / "BENCH_PR4.json"
-    if not candidate.exists():
-        return None
-    try:
-        doc = json.loads(candidate.read_text(encoding="utf-8"))
-        return float(doc["e1"]["mean_overhead_pct"])
-    except (ValueError, KeyError, TypeError):
-        return None
-
-
-def write_bench_json(
-    path: str = "BENCH_PR5.json", *, quick: bool = False
-) -> dict[str, Any]:
-    """Run the PR 5 migration benchmarks and write the JSON report."""
-    from repro.bench.harness import e1_quick_bench
-
+def run(quick: bool = False) -> dict[str, Any]:
+    """The session-externalization report (``BENCH_PR5.json``)."""
     cases = domain_cases()
     golden = golden_logs(cases)
-
-    recovery = recovery_bench(
-        cases, golden, capture_repeats=3 if quick else 10
-    )
-    migration = migration_bench(cases, golden, repeats=1 if quick else 3)
-    # Each hot-path sample is ~2 ms; min-of-3 is too noisy for a 5%
-    # gate, so even quick mode keeps a deep repeat count here (the
-    # sub-bench is cheap — platform construction dominates it).
-    checkpoint = checkpoint_overhead_bench(repeat=10 if quick else 15)
-    rebalance = rebalance_bench(
-        sessions=6 if quick else 12, rounds=1 if quick else 2
-    )
-    if not quick and not checkpoint["meets_gate"]:
-        raise AssertionError(
-            f"idle-scheduler checkpoint overhead on the E1 hot path is "
-            f"{checkpoint['overhead_pct']:.2f}% "
-            f"(acceptance bar: <= {OVERHEAD_GATE_PCT}%)"
-        )
-    e1 = e1_quick_bench(repeat=3 if quick else 25)
-    baseline = _pr4_e1_baseline(Path(path).resolve().parent)
-    results: dict[str, Any] = {
+    return {
         "bench": "PR5-session-externalization",
         "python": sys.version.split()[0],
         "quick": quick,
-        "recovery": recovery,
-        "migration": migration,
-        "checkpoint": checkpoint,
-        "rebalance": rebalance,
-        "e1": e1,
-        "baseline_e1_mean_overhead_pct": baseline,
+        "recovery": recovery_bench(
+            cases, golden, capture_repeats=3 if quick else 10
+        ),
+        "migration": migration_bench(
+            cases, golden, repeats=1 if quick else 3
+        ),
+        # Each hot-path sample is ~2 ms; min-of-3 is too noisy for a 5%
+        # gate, so even quick mode keeps a deep repeat count here (the
+        # sub-bench is cheap — platform construction dominates it).
+        "checkpoint": checkpoint_overhead_bench(repeat=10 if quick else 15),
+        "rebalance": rebalance_bench(
+            sessions=6 if quick else 12, rounds=1 if quick else 2
+        ),
     }
-    if baseline is not None:
-        results["e1_overhead_delta_pct_points"] = (
-            e1["mean_overhead_pct"] - baseline
-        )
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(results, handle, indent=2)
-        handle.write("\n")
-    return results
 
 
-def main(argv: list[str] | None = None) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.bench.migrate",
-        description="session checkpoint/restore and live-migration "
-                    "benchmarks (writes BENCH_PR5.json)",
-    )
-    parser.add_argument("--output", default="BENCH_PR5.json")
-    parser.add_argument("--quick", action="store_true",
-                        help="fewer repeats (CI migrate-smoke)")
-    args = parser.parse_args(argv)
-    results = write_bench_json(args.output, quick=args.quick)
-    print(json.dumps(results, indent=2))
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+def check(report: dict[str, Any]) -> list[Check]:
+    """Restore and live migration resume every domain byte-identically,
+    an idle checkpoint scheduler stays within the E1 overhead bound
+    (25% on ``--quick``: shared runners are noisy), and rebalancing
+    moves sessions and narrows the imbalance."""
+    recovery = report["recovery"]
+    rebalance = report["rebalance"]
+    return [
+        holds("op_logs identical after checkpoint/kill/restore",
+              recovery["all_identical"]),
+        holds("op_logs identical after live migration",
+              report["migration"]["all_identical"]),
+        compare("domains restored", len(recovery["domains"]), "==", 4),
+        compare(
+            "idle-scheduler overhead % on E1 steps",
+            report["checkpoint"]["overhead_pct"], "<=",
+            bound(report, quick=25.0, full=OVERHEAD_GATE_PCT),
+        ),
+        compare("rebalance moves", rebalance["moves"], ">", 0),
+        compare(
+            "imbalance after rebalance (vs before)",
+            rebalance["imbalance_after"], "<", rebalance["imbalance_before"],
+        ),
+    ]

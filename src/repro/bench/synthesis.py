@@ -13,9 +13,10 @@ Measures the interpretation-overhead gap the compilation layer closes:
   handcrafted baseline), re-run for the BENCH_PR1 -> BENCH_PR3
   trajectory.
 
-``write_bench_json`` bundles all three into ``BENCH_PR3.json``; the
-CLI front-end is ``repro bench-synthesis`` (``--quick`` shrinks the
-workloads for the CI perf-smoke job).
+``run`` bundles all three into the ``BENCH_PR3.json`` report and
+``check`` holds it to its gates; ``repro bench synthesis [--quick]``
+runs both (``--quick`` shrinks the workloads for CI).  The Tier-3
+report reuses the first two sections (:mod:`repro.bench.aot`).
 """
 
 from __future__ import annotations
@@ -26,13 +27,14 @@ import time
 from pathlib import Path
 from typing import Any
 
+from repro.bench.gates import Check, compare, holds
 from repro.bench.harness import least_noise
 
 __all__ = [
     "template_microbench",
     "synthesis_stress",
-    "tier_equivalence",
-    "write_bench_json",
+    "run",
+    "check",
 ]
 
 
@@ -222,193 +224,17 @@ def synthesis_stress(
     }
 
 
-def tier_equivalence(*, edit_cycle: bool = True) -> dict[str, Any]:
-    """Tier-3 vs Tier-2 op_log equality across all four domains.
-
-    Each domain runs its two-phase session twice — once on Tier-2
-    (PR 3's compiled closures) and once with the AOT program installed
-    — and the external services' op_logs must be byte-identical:
-    Tier-3 may only change cost, never behaviour.  With ``edit_cycle``
-    the communication domain additionally replaces a rule mid-session:
-    the edit drops the installed program (that synthesis cycle falls
-    back to Tier-2), the end of the next cycle regenerates it, and the
-    op_log must still match the pure Tier-2 run.
-    """
-    from repro.bench.migrate import _fresh_session, _log_bytes, domain_cases
-
-    domains: list[dict[str, Any]] = []
-    edit_result: dict[str, Any] | None = None
-    for case in domain_cases():
-        service2, _dsk, tier2 = _fresh_session(case)
-        try:
-            tier2.run_model(case.phase1())
-            tier2.run_model(case.phase2())
-        finally:
-            tier2.stop()
-        golden = _log_bytes(service2)
-        if not golden:
-            raise RuntimeError(f"{case.name}: empty golden op_log")
-
-        service3, _dsk, tier3 = _fresh_session(case)
-        try:
-            program = tier3.enable_aot()
-            tier3.run_model(case.phase1())
-            tier3.run_model(case.phase2())
-        finally:
-            tier3.stop()
-        domains.append({
-            "domain": case.name,
-            "op_log_bytes": len(golden),
-            "broker_apis": len(program.broker_calls),
-            "syn_classes": len(program.syn_classes),
-            "broker_skipped": list(program.broker_skipped),
-            "syn_skipped": list(program.syn_skipped),
-            "identical": _log_bytes(service3) == golden,
-        })
-
-        if edit_cycle and case.name == "communication":
-            service_e, _dsk, edited = _fresh_session(case)
-            try:
-                edited.enable_aot()
-                interpreter = edited.synthesis.interpreter
-                edited.run_model(case.phase1())
-                # Replace a live rule: semantics are unchanged (the
-                # same rule goes back in) but the installed program
-                # must be dropped and lazily rebuilt.
-                rule = next(iter(interpreter._rules.values()))
-                interpreter.add_rule(rule, replace=True)
-                dropped = interpreter._aot is None
-                edited.run_model(case.phase2())
-                regenerated = interpreter._aot is not None
-            finally:
-                edited.stop()
-            edit_result = {
-                "dropped_on_edit": dropped,
-                "regenerated_after_cycle": regenerated,
-                "identical": _log_bytes(service_e) == golden,
-            }
-
-    return {
-        "domains": domains,
-        "edit_cycle": edit_result,
-        "all_identical": (
-            all(row["identical"] for row in domains)
-            and (edit_result is None
-                 or (edit_result["identical"]
-                     and edit_result["dropped_on_edit"]
-                     and edit_result["regenerated_after_cycle"]))
-        ),
-    }
-
-
 def _time(fn) -> float:
     start = time.perf_counter()
     fn()
     return time.perf_counter() - start
 
 
-def _pr1_baseline(path: str = "BENCH_PR1.json") -> float | None:
-    """Mean E1 overhead recorded by the PR 1 fabric benchmark, if the
-    report is present next to the output file."""
-    candidate = Path(path)
-    if not candidate.exists():
-        return None
-    try:
-        doc = json.loads(candidate.read_text(encoding="utf-8"))
-        return float(doc["e1"]["mean_overhead_pct"])
-    except (ValueError, KeyError, TypeError):
-        return None
-
-
-#: E1 overhead admitted in the calibrated regime with Tier-3 active
-#: (the ISSUE's acceptance gate, percent).
-AOT_E1_GATE_PCT = 5.0
-
-
-def write_bench_json(
-    path: str | None = None, *, quick: bool = False, tier: str = "compiled"
-) -> dict[str, Any]:
-    """Run the synthesis benchmarks and write the JSON report.
-
-    ``tier="compiled"`` is the PR 3 report (``BENCH_PR3.json``).
-    ``tier="aot"`` is the PR 8 report (``BENCH_PR8.json``): the same
-    micro/stress sections plus the paired-delta E1 sweep with Tier-3
-    installed and the four-domain tier-equivalence check.  Correctness
-    gates (identical op_logs, edit-cycle regeneration) hold even on
-    ``--quick`` runs; the <=5% calibrated-overhead gate is enforced
-    only on committed full runs (smoke boxes are noisy — same
-    precedent as the PR 4/PR 5/PR 6 benchmarks).
-    """
-    from repro.bench.harness import e1_paired_bench, e1_quick_bench
-
-    if tier not in ("compiled", "aot"):
-        raise ValueError(f"unknown tier {tier!r}")
-    if path is None:
-        path = "BENCH_PR8.json" if tier == "aot" else "BENCH_PR3.json"
-
-    micro = template_microbench(
-        iterations=5_000 if quick else 20_000, repeat=3 if quick else 5
-    )
-    stress = synthesis_stress(
-        objects=1_000 if quick else 5_000, repeat=2 if quick else 3
-    )
-    if tier == "aot":
-        equivalence = tier_equivalence()
-        e1 = e1_paired_bench(repeat=3 if quick else 25, aot=True)
-        # The E1 trajectory baseline: PR 4's min-of-samples sweep was
-        # the last committed model-vs-handcrafted number (14.3%).
-        baseline = _pr_baseline(
-            Path(path).parent / "BENCH_PR4.json",
-            keys=("e1", "mean_overhead_pct"),
-        )
-        results: dict[str, Any] = {
-            "bench": "PR8-aot-synthesis",
-            "python": sys.version.split()[0],
-            "quick": quick,
-            "template_microbench": micro,
-            "synthesis_stress": stress,
-            "tier_equivalence": equivalence,
-            "e1": e1,
-            "baseline_e1_mean_overhead_pct": baseline,
-            "gate_pct": AOT_E1_GATE_PCT,
-            "meets_e1_gate": e1["mean_overhead_pct"] <= AOT_E1_GATE_PCT,
-        }
-        if not equivalence["all_identical"]:
-            raise AssertionError(
-                f"Tier-3 op_logs diverged from Tier-2: {equivalence}"
-            )
-        if not stress["scripts_identical"]:
-            raise AssertionError("tier scripts diverged in stress run")
-        if not quick and not results["meets_e1_gate"]:
-            raise AssertionError(
-                f"calibrated E1 overhead with AOT is "
-                f"{e1['mean_overhead_pct']:.2f}% "
-                f"(acceptance bar: <= {AOT_E1_GATE_PCT}%)"
-            )
-    else:
-        e1 = e1_quick_bench(repeat=5)
-        baseline = _pr1_baseline(str(Path(path).parent / "BENCH_PR1.json"))
-        results = {
-            "bench": "PR3-compiled-synthesis",
-            "python": sys.version.split()[0],
-            "quick": quick,
-            "template_microbench": micro,
-            "synthesis_stress": stress,
-            "e1": e1,
-            "baseline_e1_mean_overhead_pct": baseline,
-        }
-        if baseline is not None:
-            results["e1_overhead_improvement_pct_points"] = (
-                baseline - e1["mean_overhead_pct"]
-            )
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(results, handle, indent=2)
-        handle.write("\n")
-    return results
-
-
-def _pr_baseline(path: Path, *, keys: tuple[str, ...]) -> float | None:
-    """A nested numeric field from a sibling bench report, if present."""
+def pr_baseline(name: str, *keys: str) -> float | None:
+    """A nested numeric field of an earlier bench report in the working
+    directory (``BENCH_PR1.json`` for the compiled tier, ``BENCH_PR4.json``
+    for Tier-3), or ``None`` when that report is absent or lacks it."""
+    path = Path(name)
     if not path.exists():
         return None
     try:
@@ -420,27 +246,65 @@ def _pr_baseline(path: Path, *, keys: tuple[str, ...]) -> float | None:
         return None
 
 
-def main(argv: list[str] | None = None) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.bench.synthesis",
-        description="synthesis-tier benchmarks (writes BENCH_PR3.json, "
-                    "or BENCH_PR8.json with --tier aot)",
+def run_tiers(quick: bool) -> tuple[dict[str, Any], dict[str, Any]]:
+    """The template microbench and the stress synthesis, sized for
+    ``quick``; both the compiled-tier and the Tier-3 reports carry them."""
+    micro = template_microbench(
+        iterations=5_000 if quick else 20_000, repeat=3 if quick else 5
     )
-    parser.add_argument("--output", default=None)
-    parser.add_argument("--quick", action="store_true",
-                        help="smaller workloads (CI perf-smoke)")
-    parser.add_argument("--tier", choices=("compiled", "aot"),
-                        default="compiled",
-                        help="execution tier under test (aot = Tier-3)")
-    args = parser.parse_args(argv)
-    results = write_bench_json(
-        args.output, quick=args.quick, tier=args.tier
+    stress = synthesis_stress(
+        objects=1_000 if quick else 5_000, repeat=2 if quick else 3
     )
-    print(json.dumps(results, indent=2))
-    return 0
+    return micro, stress
 
 
-if __name__ == "__main__":
-    sys.exit(main())
+def run(quick: bool = False) -> dict[str, Any]:
+    """The compiled-tier (Tier-2) synthesis report (``BENCH_PR3.json``)."""
+    from repro.bench.harness import e1_quick_bench
+
+    micro, stress = run_tiers(quick)
+    e1 = e1_quick_bench(repeat=5)
+    baseline = pr_baseline("BENCH_PR1.json", "e1", "mean_overhead_pct")
+    results: dict[str, Any] = {
+        "bench": "PR3-compiled-synthesis",
+        "python": sys.version.split()[0],
+        "quick": quick,
+        "template_microbench": micro,
+        "synthesis_stress": stress,
+        "e1": e1,
+        "baseline_e1_mean_overhead_pct": baseline,
+    }
+    if baseline is not None:
+        results["e1_overhead_improvement_pct_points"] = (
+            baseline - e1["mean_overhead_pct"]
+        )
+    return results
+
+
+def check(report: dict[str, Any]) -> list[Check]:
+    """The compiled tier must not lose to the interpreted reference
+    tier, must synthesize identical scripts, and must keep E1 within a
+    few points of the interpreted BENCH_PR1 baseline (judged when that
+    report sits in the working directory; the slack absorbs shared-box
+    noise, the strict number is the committed full run)."""
+    micro = report["template_microbench"]
+    stress = report["synthesis_stress"]
+    lines = [
+        compare(
+            "template render, compiled us (vs interpreted)",
+            micro["compiled_us"], "<=", micro["interpreted_us"],
+        ),
+        compare(
+            "stress synthesis, compiled ms (vs interpreted)",
+            stress["compiled_ms"], "<=", stress["interpreted_ms"],
+        ),
+        holds("stress scripts identical across tiers",
+              stress["scripts_identical"]),
+    ]
+    baseline = report["baseline_e1_mean_overhead_pct"]
+    if baseline is not None:
+        lines.append(compare(
+            "E1 mean overhead % (BENCH_PR1 baseline + 5)",
+            report["e1"]["mean_overhead_pct"], "<=", baseline + 5.0,
+        ))
+    return lines

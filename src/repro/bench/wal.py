@@ -35,30 +35,24 @@ Every durable session here is a one-session use of
 through :func:`~repro.middleware.snapshot.recover_session` — the same
 front door the durable fabric uses.
 
-CLI front-end: ``repro bench-wal`` (``--quick`` shrinks repeats for
-the CI wal-smoke job); also ``python -m repro.bench.wal``.
+``repro bench wal`` writes ``BENCH_PR7.json`` and checks it
+(``--quick`` shrinks repeats for CI).
 """
 
 from __future__ import annotations
 
-import json
 import shutil
 import statistics
-import sys
 import tempfile
 import time
 from functools import partial
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any
 
-from repro.bench.migrate import (
-    DomainCase,
-    _fresh_session,
-    _log_bytes,
-    domain_cases,
-    golden_logs,
-)
+from repro.bench.gates import Check, bound, compare, holds
+from repro.bench.migrate import _log_bytes, golden_logs
 from repro.bench.workloads import COMMUNICATION_SCENARIOS, Step
+from repro.cases import DomainCase, domain_cases, fresh_session
 
 __all__ = [
     "OVERHEAD_GATE_PCT",
@@ -69,7 +63,8 @@ __all__ = [
     "fabric_kill_bench",
     "e1_overhead_bench",
     "recovery_latency_bench",
-    "write_bench_json",
+    "run",
+    "check",
 ]
 
 #: WAL-on overhead admitted on the E1 hot path (acceptance gate, %).
@@ -148,7 +143,7 @@ def _durable_session(
     from repro.runtime.durability import ShardDurability
     from repro.runtime.wal import WriteAheadLog
 
-    service, dsk, platform = _fresh_session(case)
+    service, dsk, platform = fresh_session(case)
     durability = ShardDurability(WriteAheadLog(wal_dir, fsync=False))
     return service, dsk, platform, durability
 
@@ -313,7 +308,7 @@ def fabric_kill_bench(*, shards: int = 2) -> dict[str, Any]:
     cut = len(steps) // 2
 
     # Golden: the same entry sequence, uninterrupted, single-threaded.
-    service, _dsk, platform = _fresh_session(case)
+    service, _dsk, platform = fresh_session(case)
     platform.run_model(case.phase1())
     for doc in steps:
         platform.broker.call_api(doc["api"], **doc["args"])
@@ -645,12 +640,11 @@ def recovery_latency_bench(
 # -- report ------------------------------------------------------------------
 
 
-def write_bench_json(
-    output: str | Path, *, quick: bool = False
-) -> dict[str, Any]:
+def run(quick: bool = False) -> dict[str, Any]:
+    """The durability report (``BENCH_PR7.json``)."""
     cases = domain_cases()
     golden = golden_logs(cases)
-    results: dict[str, Any] = {
+    return {
         "bench": "wal",
         "quick": quick,
         "kill_recovery": kill_recovery_bench(cases, golden),
@@ -660,23 +654,34 @@ def write_bench_json(
             tail_lengths=(0, 20) if quick else (0, 40, 160)
         ),
     }
-    path = Path(output)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(results, handle, indent=2)
-    return results
 
 
-def main(argv: list[str] | None = None) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--output", default="BENCH_PR7.json")
-    parser.add_argument("--quick", action="store_true")
-    args = parser.parse_args(argv)
-    results = write_bench_json(args.output, quick=args.quick)
-    print(json.dumps(results, indent=2))
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+def check(report: dict[str, Any]) -> list[Check]:
+    """Exactly-once recovery in all four domains and on a killed
+    fabric, memoized effects on the longest tail, and the WAL-on E1
+    overhead bound (25% on ``--quick``: shared runners are noisy)."""
+    kill = report["kill_recovery"]
+    fabric = report["fabric_kill"]
+    return [
+        holds("op_logs identical after kill + recover",
+              kill["all_identical"]),
+        compare("domains recovered", len(kill["domains"]), "==", 4),
+        holds("replay re-executed no external effect",
+              all(row["replay_no_reexecution"] for row in kill["domains"])),
+        compare("fewest effects memoized in a domain",
+                min((row["effects_memoized"] for row in kill["domains"]),
+                    default=0),
+                ">", 0),
+        holds("fabric kill: op_log identical", fabric["op_log_identical"]),
+        compare("fabric kill: entries replayed",
+                fabric["replayed_entries"], ">", 0),
+        compare(
+            "WAL-on E1 overhead %", report["e1_overhead"]["overhead_pct"],
+            "<=", bound(report, quick=25.0, full=OVERHEAD_GATE_PCT),
+        ),
+        compare(
+            "effects memoized on the longest tail",
+            report["recovery_latency"]["rows"][-1]["effects_memoized"],
+            ">", 0,
+        ),
+    ]

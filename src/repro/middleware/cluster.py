@@ -6,7 +6,7 @@ backend for the shipped middleware stack.
 
 A :class:`DskRegistry` maps domain names to *entries* — anything with
 ``name`` / ``service()`` / ``knowledge(service)`` / ``middleware()`` /
-``context`` attributes (:class:`repro.bench.migrate.DomainCase` qualifies
+``context`` attributes (:class:`repro.cases.DomainCase` qualifies
 as-is).  A cold worker can therefore rebuild a full platform for any
 registered domain from a portable capture doc containing nothing but the
 session snapshot, exported service state, and the ``DSK_HASH``: the
@@ -484,11 +484,11 @@ def prewarm_aot_cache(registry: DskRegistry,
 def default_registry() -> DskRegistry:
     """Registry of the four shipped domains' DSK entries.
 
-    Reuses the migration benchmark's :class:`DomainCase` definitions —
+    Reuses the :class:`~repro.cases.DomainCase` definitions —
     the canonical description of each domain's service/DSK/middleware
     triple — imported lazily to keep this module import-light.
     """
-    from repro.bench.migrate import domain_cases
+    from repro.cases import domain_cases
 
     return DskRegistry(domain_cases())
 

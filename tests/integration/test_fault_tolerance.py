@@ -89,9 +89,11 @@ class TestBenchFaultsCli:
             "repro.bench.faults.run_recovery_episodes",
             lambda **kw: run_recovery_episodes(episodes=2, seed=1),
         )
-        assert main(["bench-faults", "--output", str(out)]) == 0
+        assert main(["bench", "faults", "--output", str(out)]) == 0
         printed = capsys.readouterr().out
-        assert "0 unhandled exceptions" in printed
+        assert f"wrote {out}" in printed
+        assert "PASS  unhandled exceptions: 0 == 0" in printed
+        assert "FAIL" not in printed
         report = json.loads(out.read_text())
         assert report["bench"] == "PR2-fault-tolerance"
         assert report["recovery"]["unhandled_exceptions"] == 0

@@ -184,10 +184,11 @@ def test_aot_scripts_byte_identical_to_compiled(revisions):
 def test_four_domain_op_logs_identical_under_aot():
     """Every shipped domain's two-phase session drives its service to
     the same op_log with and without the Tier-3 program installed."""
-    from repro.bench.migrate import _fresh_session, _log_bytes, domain_cases
+    from repro.bench.migrate import _log_bytes
+    from repro.cases import domain_cases, fresh_session
 
     for case in domain_cases():
-        service2, _dsk, tier2 = _fresh_session(case)
+        service2, _dsk, tier2 = fresh_session(case)
         try:
             tier2.run_model(case.phase1())
             tier2.run_model(case.phase2())
@@ -196,7 +197,7 @@ def test_four_domain_op_logs_identical_under_aot():
         golden = _log_bytes(service2)
         assert golden, f"{case.name}: empty golden op_log"
 
-        service3, _dsk, tier3 = _fresh_session(case)
+        service3, _dsk, tier3 = fresh_session(case)
         try:
             program = tier3.enable_aot()
             assert program.broker_calls, case.name
