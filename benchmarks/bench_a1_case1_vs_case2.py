@@ -19,7 +19,7 @@ import time
 
 import pytest
 
-from repro.bench.harness import ResultTable
+from repro.bench.harness import ResultTable, paired_overhead
 from repro.domains.communication.cvm import build_cvm
 from repro.middleware.synthesis.scripts import Command
 from repro.sim.network import CommService
@@ -66,43 +66,46 @@ def test_case2_per_command(benchmark):
 def test_a1_tradeoff(benchmark, report):
     results: dict[str, float] = {}
 
-    def run():
-        for case in ("actions", "intent"):
-            platform = _platform(case)
-            commands = [_stream_command(i) for i in range(100)]
-            start = time.perf_counter()
-            for command in commands:
-                outcome = platform.controller.execute_command(command)
-                assert outcome.ok
-                assert outcome.case == (
-                    "actions" if case == "actions" else "intent"
-                )
-            results[case] = (time.perf_counter() - start) / len(commands)
-            if case == "actions":
-                results["action_table"] = (
-                    platform.controller.actions.table_size_estimate()
-                )
-            else:
-                # Case 2's resident domain knowledge for this command:
-                # the procedures of the generated IM (cached once).
-                generator = platform.controller.generator
-                results["im_entries"] = generator.cache_entries
-            platform.stop()
+    def sample(case: str) -> float:
+        """Seconds per command over 100 commands on a fresh platform."""
+        platform = _platform(case)
+        commands = [_stream_command(i) for i in range(100)]
+        start = time.perf_counter()
+        for command in commands:
+            outcome = platform.controller.execute_command(command)
+            assert outcome.ok
+            assert outcome.case == case
+        elapsed = time.perf_counter() - start
+        if case == "actions":
+            results["action_table"] = (
+                platform.controller.actions.table_size_estimate()
+            )
+        else:
+            # Case 2's resident domain knowledge for this command:
+            # the procedures of the generated IM (cached once).
+            results["im_entries"] = platform.controller.generator.cache_entries
+        platform.stop()
+        return elapsed / len(commands)
 
-    benchmark.pedantic(run, rounds=1, iterations=1)
+    latency = benchmark.pedantic(
+        paired_overhead,
+        args=(lambda: sample("intent"), lambda: sample("actions")),
+        rounds=1, iterations=1,
+    )
+    actions_vs_intent = 1.0 + latency["overhead_pct"] / 100.0
 
     table = ResultTable(
         "A1: Case 1 (predefined actions) vs Case 2 (dynamic IMs)",
         ["metric", "Case 1", "Case 2"],
     )
     table.add("per-command latency ms",
-              results["actions"] * 1000, results["intent"] * 1000)
+              latency["variant_s"] * 1000, latency["base_s"] * 1000)
     table.add("resident entries (action steps vs cached IMs)",
               results["action_table"], results["im_entries"])
     report.append(table)
 
     # Case 1 is the efficiency-first configuration.
-    assert results["actions"] <= results["intent"] * 1.05
+    assert actions_vs_intent <= 1.05
     # Case 2 keeps a single cached configuration for a repeated command
     # instead of a full predefined action table.
     assert results["im_entries"] < results["action_table"]

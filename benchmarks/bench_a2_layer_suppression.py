@@ -9,10 +9,9 @@ and the component-footprint difference.
 
 from __future__ import annotations
 
-import statistics
 import time
 
-from repro.bench.harness import ResultTable, paired_rounds
+from repro.bench.harness import ResultTable, paired_overhead
 from repro.domains.assembly import assemble_middleware_model
 from repro.domains.smartspace import build_object_node
 from repro.domains.smartspace import dsk as ss_dsk
@@ -86,16 +85,16 @@ def test_a2_footprint_and_latency(benchmark, report):
         _register(full)
         script = _configure_script(50)
 
-        # Warmed, alternating-order (suppressed, full) pairs; the gate
+        # Warmed, alternating-order (full, suppressed) pairs; the gate
         # uses the median of per-pair ratios, which host drift between
         # samples cancels out of.
-        pairs = paired_rounds(
-            lambda: _script_sample(node, script),
+        pairs = paired_overhead(
             lambda: _script_sample(full, script),
+            lambda: _script_sample(node, script),
         )
-        results["suppressed_s"] = statistics.median(s for s, _f in pairs)
-        results["full_s"] = statistics.median(f for _s, f in pairs)
-        results["ratio"] = statistics.median(s / f for s, f in pairs)
+        results["suppressed_s"] = pairs["variant_s"]
+        results["full_s"] = pairs["base_s"]
+        results["ratio"] = 1.0 + pairs["overhead_pct"] / 100.0
 
         results["suppressed_layers"] = len(node.layers)
         results["full_layers"] = len(full.layers)

@@ -13,13 +13,13 @@ as fast and narrows the gap to the handcrafted baseline.
 
 from __future__ import annotations
 
-import statistics
 import time
 
 from repro.bench.harness import (
     ResultTable,
     fresh_handcrafted_broker,
     fresh_model_based_broker,
+    overhead_stats,
     paired_rounds,
 )
 from repro.bench.workloads import COMMUNICATION_SCENARIOS
@@ -81,14 +81,15 @@ def test_a3_lean_narrows_the_gap(benchmark, report):
 
     benchmark.pedantic(run, rounds=1, iterations=1)
 
-    full, lean, hand = (statistics.median(side) for side in zip(*rounds))
-    lean_vs_full = statistics.median(l / f for f, l, _h in rounds)
-    full_overhead = 100.0 * (
-        statistics.median(f / h for f, _l, h in rounds) - 1.0
+    lean_full = overhead_stats((f, l) for f, l, _h in rounds)
+    full_hand = overhead_stats((h, f) for f, _l, h in rounds)
+    lean_hand = overhead_stats((h, l) for _f, l, h in rounds)
+    full, lean, hand = (
+        full_hand["variant_s"], lean_hand["variant_s"], full_hand["base_s"]
     )
-    lean_overhead = 100.0 * (
-        statistics.median(l / h for _f, l, h in rounds) - 1.0
-    )
+    lean_vs_full = 1.0 + lean_full["overhead_pct"] / 100.0
+    full_overhead = full_hand["overhead_pct"]
+    lean_overhead = lean_hand["overhead_pct"]
     table = ResultTable(
         "A3: lean middleware-model configuration "
         "(paper: leaner configs compensate the overhead)",

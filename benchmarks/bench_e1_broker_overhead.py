@@ -17,9 +17,9 @@ import pytest
 
 from repro.bench.harness import (
     ResultTable,
+    e1_quick_bench,
     fresh_handcrafted_broker,
     fresh_model_based_broker,
-    measure,
 )
 from repro.bench.workloads import COMMUNICATION_SCENARIOS
 
@@ -71,39 +71,18 @@ def test_handcrafted_scenario(benchmark, scenario):
 
 def test_e1_average_overhead(benchmark, report):
     """The headline number: average model-based overhead across the
-    eight-scenario suite."""
+    eight-scenario suite (each scenario's median paired ratio, cold
+    brokers, calibrated service cost)."""
     table = ResultTable(
         "E1: Broker overhead, model-based vs handcrafted "
         "(paper: +17 % on average)",
         ["scenario", "model-based ms", "handcrafted ms", "overhead %"],
     )
-    overheads = []
-
-    import time
-
-    def timed_runs(factory, steps, repeat=7):
-        """Mean scenario latency with broker construction untimed
-        (the paper excludes middleware-model load time)."""
-        samples = []
-        for _ in range(repeat):
-            runner = factory()          # untimed: load/setup
-            start = time.perf_counter()
-            runner.run(steps)
-            samples.append(time.perf_counter() - start)
-        samples.sort()
-        trimmed = samples[:-2] if len(samples) > 4 else samples
-        return sum(trimmed) / len(trimmed)
-
-    def run_suite():
-        for scenario, steps in COMMUNICATION_SCENARIOS.items():
-            model_ms = timed_runs(_model_based_runner, steps) * 1000
-            hand_ms = timed_runs(_handcrafted_runner, steps) * 1000
-            overhead = 100.0 * (model_ms / hand_ms - 1.0)
-            overheads.append(overhead)
-            table.add(scenario, model_ms, hand_ms, overhead)
-
-    benchmark.pedantic(run_suite, rounds=1, iterations=1)
-    average = sum(overheads) / len(overheads)
+    e1 = benchmark.pedantic(e1_quick_bench, rounds=1, iterations=1)
+    for row in e1["scenarios"]:
+        table.add(row["scenario"], row["model_ms"], row["handcrafted_ms"],
+                  row["overhead_pct"])
+    average = e1["mean_overhead_pct"]
     table.add("AVERAGE", "-", "-", average)
     report.append(table)
     # Shape: model-based is consistently slower, in a band around 17 %.

@@ -26,7 +26,7 @@ import time
 import pytest
 
 from repro.baselines import NonAdaptiveController
-from repro.bench.harness import ResultTable
+from repro.bench.harness import ResultTable, paired_overhead
 from repro.bench.workloads import adaptation_wiring, adaptation_wiring_reliable
 from repro.domains.communication.cvm import build_cvm
 from repro.middleware.synthesis.scripts import Command
@@ -123,16 +123,16 @@ def test_nonadaptive_response(benchmark):
 
 def test_e3_shapes(benchmark, report):
     """The headline comparison, both regimes."""
-    results: dict[str, float] = {}
+    results: dict[str, dict] = {}
 
     def run():
-        results["steady_adaptive"] = min(steady_adaptive() for _ in range(3))
-        results["steady_nonadaptive"] = min(
-            steady_nonadaptive() for _ in range(3)
+        # base: the adaptive controller; variant: the non-adaptive one,
+        # so each regime's speedup is the median per-round ratio.
+        results["steady"] = paired_overhead(
+            steady_adaptive, steady_nonadaptive, rounds=3
         )
-        results["adapt_adaptive"] = min(adaptive_response() for _ in range(3))
-        results["adapt_nonadaptive"] = min(
-            nonadaptive_response() for _ in range(3)
+        results["adapt"] = paired_overhead(
+            adaptive_response, nonadaptive_response, rounds=3
         )
 
     benchmark.pedantic(run, rounds=1, iterations=1)
@@ -142,12 +142,13 @@ def test_e3_shapes(benchmark, report):
         "~4000 ms non-adaptive where adaptation helps)",
         ["regime", "adaptive ms", "non-adaptive ms", "adaptive speedup x"],
     )
-    steady_ratio = results["steady_nonadaptive"] / results["steady_adaptive"]
-    adapt_ratio = results["adapt_nonadaptive"] / results["adapt_adaptive"]
-    table.add("steady state", results["steady_adaptive"] * 1000,
-              results["steady_nonadaptive"] * 1000, steady_ratio)
-    table.add("environment change", results["adapt_adaptive"] * 1000,
-              results["adapt_nonadaptive"] * 1000, adapt_ratio)
+    steady, adapt = results["steady"], results["adapt"]
+    steady_ratio = 1.0 + steady["overhead_pct"] / 100.0
+    adapt_ratio = 1.0 + adapt["overhead_pct"] / 100.0
+    table.add("steady state", steady["base_s"] * 1000,
+              steady["variant_s"] * 1000, steady_ratio)
+    table.add("environment change", adapt["base_s"] * 1000,
+              adapt["variant_s"] * 1000, adapt_ratio)
     report.append(table)
 
     # Shape 1: in steady state the adaptive architecture is the slower

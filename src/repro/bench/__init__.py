@@ -8,12 +8,11 @@ from repro.bench.faults import (
     run_recovery_episodes,
 )
 from repro.bench.harness import (
-    Measurement,
     ResultTable,
     ScenarioRunner,
     fresh_handcrafted_broker,
     fresh_model_based_broker,
-    measure,
+    paired_overhead,
 )
 from repro.bench.loc import (
     comment_ratio,
@@ -41,7 +40,7 @@ from repro.bench.workloads import (
 )
 
 __all__ = [
-    "ScenarioRunner", "Measurement", "ResultTable", "measure",
+    "ScenarioRunner", "ResultTable", "paired_overhead",
     "fresh_model_based_broker", "fresh_handcrafted_broker",
     "GuardedScenarioRunner", "build_faulty_broker",
     "run_recovery_episodes", "breaker_outage_demo",

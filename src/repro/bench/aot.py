@@ -8,7 +8,7 @@ plus
   between Tier-2 and Tier-3, with nothing silently skipped, and a
   runtime rule edit that drops the installed program and regenerates
   it at the end of the next synthesis cycle;
-* the paired-delta E1 sweep with Tier-3 installed
+* the warm paired E1 sweep with Tier-3 installed
   (:func:`repro.bench.harness.e1_paired_bench`), gated at <= 5% in the
   calibrated regime on full runs.
 
@@ -22,7 +22,8 @@ import sys
 from typing import Any
 
 from repro.bench.gates import Check, bound, compare, holds
-from repro.bench.synthesis import pr_baseline, run_tiers
+from repro.bench.harness import op_log_bytes
+from repro.bench.synthesis import PR4_E1_OVERHEAD_PCT, run_tiers
 
 __all__ = ["AOT_E1_GATE_PCT", "tier_equivalence", "run", "check"]
 
@@ -43,7 +44,6 @@ def tier_equivalence(*, edit_cycle: bool = True) -> dict[str, Any]:
     back to Tier-2), the end of the next cycle regenerates it, and the
     op_log must still match the pure Tier-2 run.
     """
-    from repro.bench.migrate import _log_bytes
     from repro.cases import domain_cases, fresh_session
 
     domains: list[dict[str, Any]] = []
@@ -55,7 +55,7 @@ def tier_equivalence(*, edit_cycle: bool = True) -> dict[str, Any]:
             tier2.run_model(case.phase2())
         finally:
             tier2.stop()
-        golden = _log_bytes(service2)
+        golden = op_log_bytes(service2.op_log)
         if not golden:
             raise RuntimeError(f"{case.name}: empty golden op_log")
 
@@ -73,7 +73,7 @@ def tier_equivalence(*, edit_cycle: bool = True) -> dict[str, Any]:
             "syn_classes": len(program.syn_classes),
             "broker_skipped": list(program.broker_skipped),
             "syn_skipped": list(program.syn_skipped),
-            "identical": _log_bytes(service3) == golden,
+            "identical": op_log_bytes(service3.op_log) == golden,
         })
 
         if edit_cycle and case.name == "communication":
@@ -95,7 +95,7 @@ def tier_equivalence(*, edit_cycle: bool = True) -> dict[str, Any]:
             edit_result = {
                 "dropped_on_edit": dropped,
                 "regenerated_after_cycle": regenerated,
-                "identical": _log_bytes(service_e) == golden,
+                "identical": op_log_bytes(service_e.op_log) == golden,
             }
 
     return {
@@ -117,7 +117,7 @@ def run(quick: bool = False) -> dict[str, Any]:
 
     micro, stress = run_tiers(quick)
     equivalence = tier_equivalence()
-    e1 = e1_paired_bench(repeat=3 if quick else 25, aot=True)
+    e1 = e1_paired_bench(aot=True)
     return {
         "bench": "PR8-aot-synthesis",
         "python": sys.version.split()[0],
@@ -126,12 +126,9 @@ def run(quick: bool = False) -> dict[str, Any]:
         "synthesis_stress": stress,
         "tier_equivalence": equivalence,
         "e1": e1,
-        # The E1 trajectory baseline, report-only: the min-of-samples
-        # sweep in BENCH_PR4.json was the last committed
-        # model-vs-handcrafted number.
-        "baseline_e1_mean_overhead_pct": pr_baseline(
-            "BENCH_PR4.json", "e1", "mean_overhead_pct"
-        ),
+        # The E1 trajectory baseline, report-only: the last committed
+        # model-vs-handcrafted figure before Tier-3.
+        "baseline_e1_mean_overhead_pct": PR4_E1_OVERHEAD_PCT,
         "gate_pct": AOT_E1_GATE_PCT,
         "meets_e1_gate": e1["mean_overhead_pct"] <= AOT_E1_GATE_PCT,
     }

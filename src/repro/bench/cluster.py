@@ -34,10 +34,16 @@ from __future__ import annotations
 import random
 import sys
 import time
+from functools import partial
 from typing import Any
 
 from repro.bench.gates import Check, compare, holds, is_quick
-from repro.bench.scale import BLOCKING_SECONDS_PER_UNIT, build_workload
+from repro.bench.harness import (
+    BLOCKING_SECONDS_PER_UNIT,
+    blocking_work,
+    op_log_bytes,
+)
+from repro.bench.scale import build_workload
 from repro.bench.workloads import Step
 
 __all__ = [
@@ -71,11 +77,6 @@ OPEN_DOC = {"domain": BENCH_DOMAIN, "autonomic": False}
 CLUSTER_SECONDS_PER_UNIT = 4 * BLOCKING_SECONDS_PER_UNIT
 
 
-def _bench_work(cost: float) -> None:
-    if cost > 0:
-        time.sleep(cost * CLUSTER_SECONDS_PER_UNIT)
-
-
 class _BenchCommEntry:
     """DSK registry entry for the blocking-service communication domain."""
 
@@ -90,7 +91,9 @@ class _BenchCommEntry:
     def service(self) -> Any:
         from repro.sim.network import CommService
 
-        return CommService("net0", work=_bench_work)
+        return CommService(
+            "net0", work=partial(blocking_work, unit=CLUSTER_SECONDS_PER_UNIT)
+        )
 
     def knowledge(self, service: Any) -> Any:
         from repro.domains.communication.cml import cml_metamodel
@@ -128,10 +131,10 @@ def step_doc(step: Step) -> dict[str, Any]:
     raise ValueError(f"unknown scenario step tag {tag!r}")
 
 
-def _log_bytes(op_logs: dict[str, list[str]]) -> bytes:
-    """The op_log witness of a describe/inline result (single service)."""
-    (log,) = op_logs.values()
-    return "\n".join(log).encode("utf-8")
+def _describe_log(target: Any, key: str) -> bytes:
+    """The op_log witness of one session's ``describe`` (one service)."""
+    (log,) = target.describe(key)["op_logs"].values()
+    return op_log_bytes(log)
 
 
 def inline_golden(specs: list) -> dict[str, bytes]:
@@ -150,10 +153,7 @@ def inline_golden(specs: list) -> dict[str, bytes]:
             for spec in specs:
                 if step_index < len(spec.steps):
                     target.apply(spec.key, step_doc(spec.steps[step_index]))
-        return {
-            spec.key: _log_bytes(target.describe(spec.key)["op_logs"])
-            for spec in specs
-        }
+        return {spec.key: _describe_log(target, spec.key) for spec in specs}
     finally:
         for spec in specs:
             target.close(spec.key)
@@ -166,10 +166,7 @@ def _open_all(cluster, specs, *, timeout: float = 300.0) -> None:
 
 
 def _collect_logs(cluster, specs) -> dict[str, bytes]:
-    return {
-        spec.key: _log_bytes(cluster.describe(spec.key)["op_logs"])
-        for spec in specs
-    }
+    return {spec.key: _describe_log(cluster, spec.key) for spec in specs}
 
 
 def _check_logs(op_logs: dict[str, bytes], golden: dict[str, bytes],
@@ -298,7 +295,7 @@ def cross_process_migration_bench() -> dict[str, Any]:
                 {"op": "run_model", "model": model_to_dict(case.phase2())},
                 timeout=120,
             )
-            log = _log_bytes(cluster.describe(key)["op_logs"])
+            log = _describe_log(cluster, key)
             if log != golden[case.name]:
                 raise RuntimeError(
                     f"domain {case.name!r}: op_log after cross-process "

@@ -27,7 +27,7 @@ the numbers are reproducible bit-for-bit for a given seed.
 from __future__ import annotations
 
 import sys
-from typing import Any
+from typing import Any, Callable
 
 from repro.bench.gates import Check, compare, holds
 from repro.middleware.broker.autonomic import Symptom
@@ -364,8 +364,9 @@ def determinism_check(*, seed: int = 3) -> dict[str, Any]:
 
 def guard_overhead_bench(*, calls: int = 20000) -> dict[str, Any]:
     """Wall-clock cost of the guarded invocation path on a healthy
-    resource: bare dispatch vs retry policy vs policy + breaker."""
-    from repro.bench.harness import measure
+    resource: bare dispatch vs retry policy vs policy + breaker, each
+    guard priced by :func:`overhead_stats` against bare dispatch."""
+    from repro.bench.harness import overhead_stats, paired_rounds, timer
     from repro.middleware.broker.resource import (
         CallableResource,
         ResourceManager,
@@ -381,21 +382,33 @@ def guard_overhead_bench(*, calls: int = 20000) -> dict[str, Any]:
         manager.register(CallableResource("r", {"op": lambda: 1}))
         return manager
 
-    rows: dict[str, Any] = {"calls": calls}
     bare = fresh_manager()
     policied = fresh_manager()
     policied.set_fault_policy("r", DEFAULT_POLICY)
     breakered = fresh_manager()
     breakered.protect("r", DEFAULT_POLICY)
-    for label, manager in (
-        ("bare_us", bare), ("policy_us", policied), ("breaker_us", breakered)
-    ):
-        def run(manager=manager) -> None:
+
+    def side(manager: ResourceManager) -> Callable[[], float]:
+        def run() -> None:
             for _ in range(calls):
                 manager.invoke("r", "op")
 
-        rows[label] = measure(label, run, repeat=3).minimum / calls * 1e6
-    return rows
+        return timer(run)
+
+    samples = paired_rounds(
+        side(bare), side(policied), side(breakered), rounds=5
+    )
+    policy = overhead_stats((b, p) for b, p, _k in samples)
+    breaker = overhead_stats((b, k) for b, _p, k in samples)
+    return {
+        "calls": calls,
+        "rounds": policy["rounds"],
+        "bare_us": policy["base_s"] / calls * 1e6,
+        "policy_us": policy["variant_s"] / calls * 1e6,
+        "breaker_us": breaker["variant_s"] / calls * 1e6,
+        "policy_overhead_pct": policy["overhead_pct"],
+        "breaker_overhead_pct": breaker["overhead_pct"],
+    }
 
 
 def run(quick: bool = False) -> dict[str, Any]:

@@ -1,8 +1,11 @@
 """Shared benchmark harness: scenario replay, timing, result tables.
 
-The pytest-benchmark modules under ``benchmarks/`` use these helpers
-to replay workloads against either Broker implementation, time code
-paths consistently, and print the rows that EXPERIMENTS.md records.
+The pytest-benchmark modules under ``benchmarks/`` and the report
+modules beside this one use these helpers to replay workloads against
+either Broker implementation, compare timed configurations through one
+statistic (:func:`paired_overhead`: the median of per-round ratios,
+with their interquartile range as its noise indicator), and print the
+rows that EXPERIMENTS.md records.
 """
 
 from __future__ import annotations
@@ -10,7 +13,6 @@ from __future__ import annotations
 import statistics
 import sys
 import time
-from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Sequence
 
 from repro.baselines.handcrafted_broker import HandcraftedBroker
@@ -21,14 +23,18 @@ from repro.runtime.metrics import MetricsRegistry
 from repro.sim.network import CommService
 
 __all__ = [
+    "BLOCKING_SECONDS_PER_UNIT",
     "ScenarioRunner",
-    "Measurement",
-    "measure",
-    "least_noise",
+    "blocking_work",
+    "op_log_bytes",
+    "timer",
     "paired_rounds",
+    "overhead_stats",
+    "paired_overhead",
     "ResultTable",
     "fresh_model_based_broker",
     "fresh_handcrafted_broker",
+    "fresh_cvm_platform",
     "bus_scaling_bench",
     "e1_quick_bench",
     "e1_paired_bench",
@@ -36,61 +42,75 @@ __all__ = [
     "check",
 ]
 
+#: seconds of blocking service time per op-cost unit.  With the
+#: default op cost of 6.0 this is ~300 µs per service call — service
+#: time dominates middleware CPU (the paper's Sec. VII-A regime) while
+#: staying far below real network latencies, so full runs finish in
+#: seconds.
+BLOCKING_SECONDS_PER_UNIT = 50e-6
 
-def least_noise(samples: Iterable[Any], *, key: Callable[[Any], float] | None = None):
-    """The least scheduler-noise-contaminated sample of a repeat set.
 
-    On a shared box, preemption and frequency drift only ever *inflate*
-    a wall-clock sample (or a latency-keyed run summary) — they never
-    make code look faster than it is — so the minimum over repeats is
-    the closest estimate of the machine-independent figure.  This is
-    the single sampling discipline every bench module shares (the PR 4
-    min-of-samples precedent); pass ``key`` to select among structured
-    run summaries instead of raw floats.
-    """
-    picked = list(samples)
-    if not picked:
-        raise ValueError("least_noise() requires at least one sample")
-    if key is None:
-        return min(picked)
-    return min(picked, key=key)
+def blocking_work(
+    cost: float, *, unit: float = BLOCKING_SECONDS_PER_UNIT
+) -> None:
+    """Simulated service work that *blocks* (sleeps, releasing the GIL)
+    for ``cost`` op-cost units — pass as ``CommService(work=...)`` where
+    parallel sessions must overlap their service time."""
+    if cost > 0:
+        time.sleep(cost * unit)
+
+
+def op_log_bytes(op_log: Sequence[str]) -> bytes:
+    """A service ``op_log`` as bytes: the byte-identity witness every
+    correctness gate compares against its golden run."""
+    return "\n".join(op_log).encode("utf-8")
 
 
 class ScenarioRunner:
-    """Replays a workload scenario against one Broker implementation.
+    """Replays workload scenario steps against one Broker implementation.
 
-    The runner needs to resolve symbolic connection ids to live
-    session ids for failure injection; ``session_lookup`` abstracts
-    over the two Brokers' state representations.
+    The runner resolves symbolic connection ids to live session ids for
+    failure injection; ``session_lookup`` abstracts over the two
+    Brokers' state representations and defaults to the model-based
+    Broker's (read through ``self.broker``, so a caller that swaps in a
+    restored platform's broker keeps resolving against it).
     """
 
     def __init__(
         self,
         broker: Any,
         service: CommService,
-        session_lookup: Callable[[str], str],
+        session_lookup: Callable[[str], str] | None = None,
     ) -> None:
         self.broker = broker
         self.service = service
         self.session_lookup = session_lookup
         self.steps_run = 0
 
+    def _session(self, connection: str) -> str:
+        if self.session_lookup is not None:
+            return self.session_lookup(connection)
+        return self.broker.state.get(f"session:{connection}")
+
+    def run_step(self, step: Step) -> None:
+        tag = step[0]
+        if tag == "api":
+            _tag, api, args = step
+            self.broker.call_api(api, **args)
+        elif tag == "fail":
+            self.service.inject_failure(self._session(step[1]))
+        elif tag == "recover":
+            # Recovery is itself a broker responsibility.
+            self.broker.call_api(
+                "ncb.recover_session", session=self._session(step[1])
+            )
+        else:
+            raise ValueError(f"unknown scenario step tag {tag!r}")
+        self.steps_run += 1
+
     def run(self, steps: Sequence[Step]) -> None:
         for step in steps:
-            tag = step[0]
-            if tag == "api":
-                _tag, api, args = step
-                self.broker.call_api(api, **args)
-            elif tag == "fail":
-                self.service.inject_failure(self.session_lookup(step[1]))
-            elif tag == "recover":
-                # Recovery is itself a broker responsibility.
-                self.broker.call_api(
-                    "ncb.recover_session", session=self.session_lookup(step[1])
-                )
-            else:
-                raise ValueError(f"unknown scenario step tag {tag!r}")
-            self.steps_run += 1
+            self.run_step(step)
 
 
 def fresh_model_based_broker(
@@ -142,11 +162,7 @@ def fresh_model_based_broker(
             domain="communication",
         )
         broker.install_aot(program.broker_calls)
-
-    def lookup(connection: str) -> str:
-        return broker.state.get(f"session:{connection}")
-
-    return broker, service, ScenarioRunner(broker, service, lookup)
+    return broker, service, ScenarioRunner(broker, service)
 
 
 def fresh_handcrafted_broker(
@@ -161,56 +177,46 @@ def fresh_handcrafted_broker(
     return broker, service, ScenarioRunner(broker, service, lookup)
 
 
-@dataclass
-class Measurement:
-    """Timing statistics over repeated runs of a callable."""
-
-    label: str
-    samples: list[float] = field(default_factory=list)
-
-    @property
-    def mean(self) -> float:
-        return statistics.fmean(self.samples)
-
-    @property
-    def median(self) -> float:
-        return statistics.median(self.samples)
-
-    @property
-    def minimum(self) -> float:
-        return least_noise(self.samples)
-
-    @property
-    def total(self) -> float:
-        return sum(self.samples)
-
-    def ratio_to(self, other: "Measurement") -> float:
-        """mean(self) / mean(other)."""
-        return self.mean / other.mean
-
-    def __repr__(self) -> str:
-        return (
-            f"Measurement({self.label!r}, n={len(self.samples)}, "
-            f"mean={self.mean * 1000:.3f}ms)"
-        )
-
-
-def measure(
-    label: str,
-    fn: Callable[[], Any],
+def fresh_cvm_platform(
     *,
-    repeat: int = 5,
-    warmup: int = 1,
-) -> Measurement:
-    """Time ``fn`` ``repeat`` times (after ``warmup`` discarded runs)."""
-    for _ in range(warmup):
-        fn()
-    measurement = Measurement(label)
-    for _ in range(repeat):
+    op_cost: float | None = None,
+    work: Callable[[float], None] | None = None,
+) -> tuple[Any, Any, ScenarioRunner]:
+    """``(platform, dsk, runner)``: a started, full four-layer CVM
+    platform and a runner driving its Broker.
+
+    The fabric benches (checkpointing, the WAL, rebalancing) need the
+    whole platform — snapshots capture every layer — rather than
+    :func:`fresh_model_based_broker`'s broker-only stack.  The service
+    takes ``op_cost`` (``None``: E1's calibrated cost) or a ``work``
+    function (e.g. :func:`blocking_work`).  Autonomic recovery is off,
+    as in E1: recovery runs through the explicit scenario step, keeping
+    op_logs deterministic.
+    """
+    from repro.domains.communication.cml import cml_metamodel
+    from repro.domains.communication.cvm import (
+        build_middleware_model,
+        default_context,
+    )
+    from repro.middleware.loader import DomainKnowledge, load_platform
+
+    service = CommService("net0", op_cost=op_cost, work=work)
+    dsk = DomainKnowledge(dsml=cml_metamodel(), resources=[service])
+    platform = load_platform(build_middleware_model(), dsk)
+    platform.broker.autonomic.enabled = False
+    platform.controller.context.update(default_context())
+    return platform, dsk, ScenarioRunner(platform.broker, service)
+
+
+def timer(fn: Callable[[], Any]) -> Callable[[], float]:
+    """A :func:`paired_rounds` side that times one call of ``fn``."""
+
+    def side() -> float:
         start = time.perf_counter()
         fn()
-        measurement.samples.append(time.perf_counter() - start)
-    return measurement
+        return time.perf_counter() - start
+
+    return side
 
 
 def paired_rounds(
@@ -224,8 +230,8 @@ def paired_rounds(
     odd ones — and yields them as a tuple in argument order.  Host
     drift slower than a round cancels out of per-round ratios, and the
     alternating order cancels drift *within* a round, so compare sides
-    by the median of per-round ratios rather than by statistics of
-    sample blocks taken seconds apart.
+    by :func:`overhead_stats` of the rounds rather than by statistics
+    of sample blocks taken seconds apart.
     """
     for _ in range(2):
         for side in sides:
@@ -238,6 +244,43 @@ def paired_rounds(
             sample[pos] = sides[pos]()
         samples.append(tuple(sample))
     return samples
+
+
+def overhead_stats(pairs: Iterable[tuple[float, float]]) -> dict[str, Any]:
+    """The one overhead statistic every paired timing check reports.
+
+    ``pairs`` holds one ``(base, variant)`` sample per round, as
+    :func:`paired_rounds` yields them.  ``overhead_pct`` is the median
+    of the per-round ``variant / base - 1`` ratios, in percent; its
+    noise indicator ``iqr_pct`` is their interquartile range, in
+    percentage points.  ``base_s``/``variant_s`` are the per-side
+    median samples, for tables.  Needs at least two rounds.
+    """
+    pairs = list(pairs)
+    ratios = [100.0 * (variant / base - 1.0) for base, variant in pairs]
+    q1, _q2, q3 = statistics.quantiles(ratios, n=4, method="inclusive")
+    return {
+        "overhead_pct": statistics.median(ratios),
+        "iqr_pct": q3 - q1,
+        "rounds": len(pairs),
+        "base_s": statistics.median(base for base, _variant in pairs),
+        "variant_s": statistics.median(variant for _base, variant in pairs),
+    }
+
+
+def paired_overhead(
+    base: Callable[[], float],
+    variant: Callable[[], float],
+    *,
+    rounds: int = 15,
+) -> dict[str, Any]:
+    """:func:`overhead_stats` of ``variant`` against ``base`` over
+    :func:`paired_rounds` (two discarded warm-up rounds, then
+    ``rounds`` alternating-order pairs).  Each side returns one timed
+    sample in seconds; whatever it builds before starting its clock
+    sets the regime (a fresh broker per sample is cold, a long-lived
+    one warm)."""
+    return overhead_stats(paired_rounds(base, variant, rounds=rounds))
 
 
 class ResultTable:
@@ -350,179 +393,124 @@ def bus_scaling_bench(
             for _ in range(publishes):
                 linear.publish("hot.topic")
 
-        indexed = measure(f"indexed[{count}]", run_indexed, repeat=5)
-        scan = measure(f"linear[{count}]", run_linear, repeat=5)
-        indexed_us = indexed.minimum / publishes * 1e6
-        linear_us = scan.minimum / publishes * 1e6
+        routing = paired_overhead(
+            timer(run_indexed), timer(run_linear), rounds=5
+        )
         rows.append({
             "subscribers": count,
             "publishes": publishes,
-            "indexed_us": indexed_us,
-            "linear_scan_us": linear_us,
-            "speedup": linear_us / indexed_us if indexed_us else 0.0,
+            "indexed_us": routing["base_s"] / publishes * 1e6,
+            "linear_scan_us": routing["variant_s"] / publishes * 1e6,
+            "speedup": 1.0 + routing["overhead_pct"] / 100.0,
+            "iqr_pct": routing["iqr_pct"],
         })
     return rows
 
 
-def e1_quick_bench(*, repeat: int = 5) -> dict[str, Any]:
-    """A quick E1 pass: mean broker-overhead latency across the
-    communication scenarios (middleware-model load excluded)."""
+def e1_quick_bench(*, rounds: int = 15) -> dict[str, Any]:
+    """E1 cold, in the calibrated regime: per scenario, the model-based
+    Broker's :func:`paired_overhead` against the handcrafted one.
+
+    Each sample replays one scenario on a freshly built broker, with
+    construction outside the clock (the paper excludes middleware-model
+    load time).  ``mean_overhead_pct`` averages the eight scenarios'
+    medians — the paper's "on average" figure.  Each row also records
+    whether the two Brokers left equal op_logs (E5).
+    """
     from repro.bench.workloads import COMMUNICATION_SCENARIOS
 
     scenarios: list[dict[str, Any]] = []
-    model_total = 0.0
-    hand_total = 0.0
     for scenario, steps in COMMUNICATION_SCENARIOS.items():
-        def timed(factory: Callable[[], Any]) -> float:
-            samples = []
-            for _ in range(repeat):
-                _broker, _service, runner = factory()
+        op_logs: dict[str, list[str]] = {}
+
+        def side(
+            label: str, factory: Callable[[], Any]
+        ) -> Callable[[], float]:
+            def sample() -> float:
+                _broker, service, runner = factory()
                 start = time.perf_counter()
                 runner.run(steps)
-                samples.append(time.perf_counter() - start)
-            return least_noise(samples)
+                elapsed = time.perf_counter() - start
+                op_logs[label] = service.op_log
+                return elapsed
 
-        model_s = timed(fresh_model_based_broker)
-        hand_s = timed(fresh_handcrafted_broker)
-        model_total += model_s
-        hand_total += hand_s
+            return sample
+
+        row = paired_overhead(
+            side("handcrafted", fresh_handcrafted_broker),
+            side("model", fresh_model_based_broker),
+            rounds=rounds,
+        )
         scenarios.append({
             "scenario": scenario,
-            "model_ms": model_s * 1000,
-            "handcrafted_ms": hand_s * 1000,
-            "overhead_pct": 100.0 * (model_s / hand_s - 1.0),
+            "model_ms": row["variant_s"] * 1000,
+            "handcrafted_ms": row["base_s"] * 1000,
+            "overhead_pct": row["overhead_pct"],
+            "iqr_pct": row["iqr_pct"],
+            "op_logs_equal": op_logs["model"] == op_logs["handcrafted"],
         })
-    mean_overhead = (
-        sum(row["overhead_pct"] for row in scenarios) / len(scenarios)
-    )
     return {
+        "rounds": rounds,
         "scenarios": scenarios,
-        "model_ms": model_total * 1000,
-        "handcrafted_ms": hand_total * 1000,
-        "mean_overhead_pct": mean_overhead,
+        "model_ms": sum(row["model_ms"] for row in scenarios),
+        "handcrafted_ms": sum(row["handcrafted_ms"] for row in scenarios),
+        "mean_overhead_pct": statistics.fmean(
+            row["overhead_pct"] for row in scenarios
+        ),
     }
 
 
-def e1_paired_bench(*, repeat: int = 15, aot: bool = False) -> dict[str, Any]:
-    """E1 overhead via per-scenario noise-floor sampling, with Tier-3.
+def e1_paired_bench(*, rounds: int = 25, aot: bool = False) -> dict[str, Any]:
+    """E1 warm: :func:`paired_overhead` of a model-based Broker (with
+    Tier-3 installed when ``aot``) against the handcrafted one, each
+    sample one pass over all eight scenarios on a long-lived broker.
 
-    Runs the eight communication scenarios on one warm broker pair per
-    regime and reports the summed *per-scenario floors* (minimum over
-    ``repeat`` samples, each timing ``passes`` steady passes) for each
-    side, model-based minus handcrafted.  On a shared box, timing noise
-    is strictly additive — preemption, cache eviction by neighbours,
-    frequency dips all make a sample *slower*, never faster — so the
-    minimum converges on the true cost while means and medians track
-    whatever else the machine is doing (the rationale behind
-    ``timeit``'s repeat/min idiom).  Sample order alternates per
-    scenario so monotone drift cannot systematically favour one side's
-    floor, and the per-scenario *median* of paired deltas is kept as a
-    cross-check (``median_overhead_pct``): when the box is quiet the
-    two estimators agree; when they diverge, ``delta_iqr_us`` and
-    ``hand_spread_pct`` say why.
+    Both sides run warm — the two discarded warm-up rounds fill route
+    caches, metric instruments and interned topic strings, and every
+    scenario tears its sessions down, so passes start from equivalent
+    state.  E1 here prices a *running* platform per request; charging
+    the model side its one-time cache fills (which the cacheless
+    handcrafted broker cannot pay) would fold cold start into a
+    steady-state number.
 
-    Both sides run warm (an untimed full pass over every scenario
-    first): every scenario tears its sessions down, so repeats start
-    from equivalent state with route caches, metric instruments, and
-    interned topic strings filled.  E1 compares the per-request price
-    of a *running* middleware platform against the handcrafted
-    baseline — charging the model-based side its one-time cache fills
-    (which the cacheless handcrafted broker structurally cannot pay)
-    would fold platform cold-start into a steady-state number.
-
-    Two regimes, same contract as the PR 7 bench:
-
-    * ``calibrated`` — ``CommService.DEFAULT_OP_COST``, the op-cost
-      ratio fixed for E1/E3/E5 so simulated service work dominates the
-      way real communication-framework calls did on the paper's
-      testbed.  This is the **gated** number (the ISSUE's <=5% bar).
-    * ``structural`` — ``op_cost=0``, the raw CPU price of the
-      model-based dispatch machinery with nothing to hide behind.
-      Diagnostic, not gated.
+    Two regimes: ``calibrated`` (``CommService.DEFAULT_OP_COST``, the
+    op-cost ratio fixed for E1/E3/E5 so simulated service work
+    dominates the way real communication-framework calls did on the
+    paper's testbed) is the gated figure; ``structural``
+    (``op_cost=0``) is the raw CPU price of model-based dispatch,
+    diagnostic only.
     """
     from repro.bench.workloads import COMMUNICATION_SCENARIOS
 
     scenario_steps = list(COMMUNICATION_SCENARIOS.values())
     n_steps = sum(len(steps) for steps in scenario_steps)
 
-    #: steady passes timed per sample — stretches the timed region so
-    #: perf_counter granularity and entry/exit jitter amortize.
-    passes = 3
-
     def sweep(*, op_cost: float) -> dict[str, Any]:
-        _b, _s, model_runner = fresh_model_based_broker(
-            aot=aot, op_cost=op_cost
-        )
-        _hb, _hs, hand_runner = fresh_handcrafted_broker(op_cost=op_cost)
-        for steps in scenario_steps:  # untimed warm-up, both sides
-            model_runner.run(steps)
-            hand_runner.run(steps)
+        _b, _s, model = fresh_model_based_broker(aot=aot, op_cost=op_cost)
+        _hb, _hs, hand = fresh_handcrafted_broker(op_cost=op_cost)
 
-        def sample(runner: ScenarioRunner, steps: Sequence[Step]) -> float:
-            start = time.perf_counter()
-            for _ in range(passes):
-                runner.run(steps)
-            return (time.perf_counter() - start) / passes
+        def side(runner: ScenarioRunner) -> Callable[[], float]:
+            def sweep_pass() -> None:
+                for steps in scenario_steps:
+                    runner.run(steps)
 
-        hand_floor = model_floor = 0.0
-        hand_med = delta_med = 0.0
-        all_deltas: list[list[float]] = []
-        all_hands: list[list[float]] = []
-        for j, steps in enumerate(scenario_steps):
-            models = [0.0] * repeat
-            hands = [0.0] * repeat
-            for i in range(repeat):
-                # The two sides of a pair run milliseconds apart, so
-                # slow drift cancels in the paired delta; alternating
-                # order keeps drift within a pair unbiased.
-                if (i + j) % 2 == 0:
-                    hands[i] = sample(hand_runner, steps)
-                    models[i] = sample(model_runner, steps)
-                else:
-                    models[i] = sample(model_runner, steps)
-                    hands[i] = sample(hand_runner, steps)
-            hand_floor += min(hands)
-            model_floor += min(models)
-            hand_med += statistics.median(hands)
-            delta_med += statistics.median(
-                m - h for m, h in zip(models, hands)
-            )
-            all_deltas.append([m - h for m, h in zip(models, hands)])
-            all_hands.append(hands)
-        delta_floor = model_floor - hand_floor
-        sweep_deltas = sorted(
-            sum(row[i] for row in all_deltas) for i in range(repeat)
-        )
-        quarter = max(1, len(sweep_deltas) // 4)
-        sweep_hands = [sum(row[i] for row in all_hands) for i in range(repeat)]
+            return timer(sweep_pass)
+
+        result = paired_overhead(side(hand), side(model), rounds=rounds)
         return {
             "op_cost": op_cost,
-            "pairs_sampled": repeat,
-            "timed_passes": passes,
-            "handcrafted_ms": hand_floor * 1000,
-            "model_ms": model_floor * 1000,
-            "per_step_overhead_us": delta_floor / n_steps * 1e6,
-            "overhead_pct": 100.0 * delta_floor / hand_floor,
-            # cross-check estimator: per-scenario medians of paired
-            # deltas (the PR 7 discipline).  Agrees with the floor on a
-            # quiet box; diverges upward under contention.
-            "median_overhead_pct": 100.0 * delta_med / hand_med,
-            # measurement-quality indicators: noise shows up here.
-            "delta_iqr_us": (
-                sweep_deltas[-quarter - 1] - sweep_deltas[quarter]
-            ) * 1e6,
-            "hand_spread_pct": (
-                100.0 * (max(sweep_hands) - min(sweep_hands)) / hand_floor
+            **result,
+            "per_step_overhead_us": (
+                (result["variant_s"] - result["base_s"]) / n_steps * 1e6
             ),
         }
 
     calibrated = sweep(op_cost=CommService.DEFAULT_OP_COST)
-    structural = sweep(op_cost=0.0)
     return {
         "aot": aot,
         "steps_per_sweep": n_steps,
         "calibrated": calibrated,
-        "structural": structural,
+        "structural": sweep(op_cost=0.0),
         "mean_overhead_pct": calibrated["overhead_pct"],
     }
 

@@ -41,11 +41,10 @@ from __future__ import annotations
 import asyncio
 import random
 import sys
-import time
 from typing import Any
 
 from repro.bench.gates import Check, compare, holds, is_quick
-from repro.bench.harness import least_noise
+from repro.bench.harness import op_log_bytes
 from repro.bench.scale import SessionSpec, _SessionState, build_workload
 from repro.runtime.clock import VirtualClock
 from repro.runtime.faults import InvocationOutcome
@@ -97,18 +96,6 @@ SHED_POLICY = AdmissionPolicy(
     max_inflight_per_shard=4,
 )
 
-#: seconds of blocking service time per op-cost unit — the PR 4 scale
-#: bench's regime (~300 µs per service call at the default op cost of
-#: 6.0), kept as a separate knob so the ingress bench can tune service
-#: time independently of the fabric benchmark.
-SECONDS_PER_UNIT = 50e-6
-
-
-def _service_work(cost: float) -> None:
-    if cost > 0:
-        time.sleep(cost * SECONDS_PER_UNIT)
-
-
 #: the "no protection" policy: nothing is ever shed, queues are
 #: effectively unbounded — the system the tier replaces.
 UNBOUNDED_POLICY = AdmissionPolicy(
@@ -135,10 +122,10 @@ def golden_op_logs() -> dict[str, bytes]:
     """
     golden: dict[str, bytes] = {}
     for spec in build_workload(8):  # one session per scenario
-        state = _SessionState(spec, MetricsRegistry(), work=_service_work)
+        state = _SessionState(spec, MetricsRegistry())
         for step in spec.steps:
             state.run_step(step)
-        golden[spec.scenario] = state.op_log_bytes()
+        golden[spec.scenario] = op_log_bytes(state.service.op_log)
     return golden
 
 
@@ -200,9 +187,7 @@ def _execute(
     """
     runtime = ShardedRuntime(SHARDS, name="bench-ingress")
     states = {
-        spec.key: _SessionState(
-            spec, runtime.shard_for(spec.key).metrics, work=_service_work
-        )
+        spec.key: _SessionState(spec, runtime.shard_for(spec.key).metrics)
         for spec in specs
     }
     tier = IngressTier(runtime, policy=policy)
@@ -255,7 +240,8 @@ def _execute(
         by_key = {spec.key: spec for spec in specs}
         for session in done:
             scenario = by_key[session["key"]].scenario
-            if states[session["key"]].op_log_bytes() != golden[scenario]:
+            log = states[session["key"]].service.op_log
+            if op_log_bytes(log) != golden[scenario]:
                 mismatched.append(session["key"])
     goodput = sum(s["steps_done"] for s in done) / elapsed
     stats = tier.stats()
@@ -369,8 +355,7 @@ def ingress_bench(*, sessions: int = 320, repeats: int = 5) -> dict[str, Any]:
     times and the gates are evaluated on the run with the *lowest*
     admitted p99 — scheduler noise on a shared box only ever inflates
     a sub-second window's tail, so the least-contaminated sample is
-    the closest to the machine-independent figure (same reasoning as
-    the PR 4 benchmark's min-of-samples timing).  Every run's summary
+    the closest to the machine-independent figure.  Every run's summary
     is reported alongside the selected one.
     """
     golden = golden_op_logs()
@@ -404,9 +389,7 @@ def ingress_bench(*, sessions: int = 320, repeats: int = 5) -> dict[str, Any]:
         ),
         key=lambda run: run["latency_p99_ms"],
     )
-    shed_on = least_noise(
-        shed_on_runs, key=lambda run: run["latency_p99_ms"]
-    )
+    shed_on = min(shed_on_runs, key=lambda run: run["latency_p99_ms"])
     shed_off = open_loop_run(
         specs,
         rate_sessions_per_s=rate * OVERLOAD_FACTOR,

@@ -39,8 +39,13 @@ import time
 from typing import Any
 
 from repro.bench.gates import Check, bound, compare, holds
-from repro.bench.scale import BLOCKING_SECONDS_PER_UNIT
-from repro.bench.workloads import COMMUNICATION_SCENARIOS, Step
+from repro.bench.harness import (
+    blocking_work,
+    fresh_cvm_platform,
+    op_log_bytes,
+    paired_overhead,
+)
+from repro.bench.workloads import COMMUNICATION_SCENARIOS
 from repro.cases import DomainCase, domain_cases, fresh_session
 
 __all__ = [
@@ -58,10 +63,6 @@ __all__ = [
 OVERHEAD_GATE_PCT = 5.0
 
 
-def _log_bytes(service: Any) -> bytes:
-    return "\n".join(service.op_log).encode("utf-8")
-
-
 def golden_logs(cases: list[DomainCase]) -> dict[str, bytes]:
     """Uninterrupted two-phase runs: the per-domain golden op_logs."""
     golden: dict[str, bytes] = {}
@@ -72,7 +73,7 @@ def golden_logs(cases: list[DomainCase]) -> dict[str, bytes]:
             platform.run_model(case.phase2())
         finally:
             platform.stop()
-        golden[case.name] = _log_bytes(service)
+        golden[case.name] = op_log_bytes(service.op_log)
         if not golden[case.name]:
             raise RuntimeError(
                 f"domain {case.name!r} produced an empty op_log; the "
@@ -114,7 +115,7 @@ def recovery_bench(
         finally:
             restored.stop()
 
-        if _log_bytes(service) != golden[case.name]:
+        if op_log_bytes(service.op_log) != golden[case.name]:
             raise AssertionError(
                 f"domain {case.name!r}: op_log after checkpoint/kill/"
                 f"restore diverged from the uninterrupted run"
@@ -212,7 +213,7 @@ def migration_bench(
             platform = holder.get("platform")
             if platform is not None and platform.started:
                 platform.stop()
-            if _log_bytes(service) != golden[case.name]:
+            if op_log_bytes(service.op_log) != golden[case.name]:
                 raise AssertionError(
                     f"domain {case.name!r}: op_log after live migration "
                     f"diverged from the uninterrupted run"
@@ -235,72 +236,17 @@ def migration_bench(
 # -- checkpoint overhead on the hot path ------------------------------------
 
 
-class _ScenarioRunner:
-    """Drives one E1 scenario against a full CVM platform's broker."""
-
-    __slots__ = ("service", "dsk", "platform")
-
-    def __init__(self, *, blocking: bool = False, op_cost: float = 0.0) -> None:
-        from repro.domains.communication.cml import cml_metamodel
-        from repro.domains.communication.cvm import (
-            build_middleware_model,
-            default_context,
-        )
-        from repro.middleware.loader import DomainKnowledge, load_platform
-        from repro.sim.network import CommService
-
-        if blocking:
-            self.service = CommService("net0", work=_blocking_work)
-        else:
-            # op_cost=0.0 isolates pure middleware CPU cost; pass
-            # CommService.DEFAULT_OP_COST for the calibrated E1 regime
-            # where simulated service work dominates (EXPERIMENTS.md).
-            self.service = CommService("net0", op_cost=op_cost)
-        self.dsk = DomainKnowledge(
-            dsml=cml_metamodel(), resources=[self.service]
-        )
-        self.platform = load_platform(build_middleware_model(), self.dsk)
-        assert self.platform.broker is not None
-        # Same configuration as the E1 harness: recovery runs through
-        # the explicit scenario step, keeping runs deterministic.
-        self.platform.broker.autonomic.enabled = False
-        assert self.platform.controller is not None
-        self.platform.controller.context.update(default_context())
-
-    def run_step(self, step: Step) -> None:
-        broker = self.platform.broker
-        tag = step[0]
-        if tag == "api":
-            _tag, api, args = step
-            broker.call_api(api, **args)
-        elif tag == "fail":
-            self.service.inject_failure(self._session_id(step[1]))
-        elif tag == "recover":
-            broker.call_api(
-                "ncb.recover_session", session=self._session_id(step[1])
-            )
-        else:  # pragma: no cover - workload tags are closed
-            raise ValueError(f"unknown scenario step tag {tag!r}")
-
-    def _session_id(self, connection: str) -> str:
-        return self.platform.broker.state.get(f"session:{connection}")
-
-    def stop(self) -> None:
-        self.platform.stop()
-
-
-def _blocking_work(cost: float) -> None:
-    if cost > 0:
-        time.sleep(cost * BLOCKING_SECONDS_PER_UNIT)
-
-
-def checkpoint_overhead_bench(*, repeat: int = 15) -> dict[str, Any]:
+def checkpoint_overhead_bench(*, rounds: int = 45) -> dict[str, Any]:
     """E1-scenario hot path with and without an idle scheduler attached.
 
     The scheduler is started on a wall clock (no timer queue), so it
     never fires on its own — the gate bounds the cost of merely having
     checkpointing armed on a session.  Checkpoint capture cost itself
     is reported separately from explicit ``tick()`` calls.
+
+    Sessions are cold and samples short, so one round's ratio spreads
+    by 10–20 points (IQR); 45 rounds keep the median within a few
+    points, where 15 ranged from -12% to +15% run to run.
     """
     from repro.middleware.snapshot import CheckpointScheduler
 
@@ -316,57 +262,49 @@ def checkpoint_overhead_bench(*, repeat: int = 15) -> dict[str, Any]:
     # teardown stay outside the clock).
     inner = 4
 
-    def one_sample(with_scheduler: bool) -> float:
+    def sample(with_scheduler: bool) -> float:
         total = 0.0
         for _ in range(inner):
-            runner = _ScenarioRunner()
+            platform, _dsk, runner = fresh_cvm_platform(op_cost=0.0)
             scheduler = None
             if with_scheduler:
                 scheduler = CheckpointScheduler(
-                    runner.platform, interval=3600.0
+                    platform, interval=3600.0
                 ).start()
             start = time.perf_counter()
-            for step in steps:
-                runner.run_step(step)
+            runner.run(steps)
             total += time.perf_counter() - start
             if scheduler is not None:
                 scheduler.stop()
-            runner.stop()
+            platform.stop()
         return total
 
-    # Interleave bare/armed samples so machine drift cancels instead of
-    # biasing one side of the comparison.
-    one_sample(False)  # warm-up: imports, metamodel caches
-    bare_samples, armed_samples = [], []
-    for _ in range(repeat):
-        bare_samples.append(one_sample(False))
-        armed_samples.append(one_sample(True))
-    bare_s = min(bare_samples)
-    armed_s = min(armed_samples)
-    overhead_pct = 100.0 * (armed_s / bare_s - 1.0)
+    armed = paired_overhead(
+        lambda: sample(False), lambda: sample(True), rounds=rounds
+    )
 
     # Explicit checkpoint cost on a session with live state.
-    runner = _ScenarioRunner()
-    scheduler = CheckpointScheduler(runner.platform, interval=3600.0)
-    for step in steps:
-        runner.run_step(step)
+    platform, _dsk, runner = fresh_cvm_platform(op_cost=0.0)
+    scheduler = CheckpointScheduler(platform, interval=3600.0)
+    runner.run(steps)
     tick_samples = []
-    for _ in range(max(repeat, 5)):
+    for _ in range(rounds):
         start = time.perf_counter()
         snapshot = scheduler.tick()
         tick_samples.append(time.perf_counter() - start)
     snapshot_bytes = len(snapshot.to_json(indent=None).encode("utf-8"))
-    runner.stop()
+    platform.stop()
 
     return {
         "steps": len(steps),
-        "repeat": repeat,
+        "rounds": armed["rounds"],
         "sessions_per_sample": inner,
-        "bare_ms": bare_s * 1000 / inner,
-        "idle_scheduler_ms": armed_s * 1000 / inner,
-        "overhead_pct": overhead_pct,
+        "bare_ms": armed["base_s"] * 1000 / inner,
+        "idle_scheduler_ms": armed["variant_s"] * 1000 / inner,
+        "overhead_pct": armed["overhead_pct"],
+        "iqr_pct": armed["iqr_pct"],
         "gate_pct": OVERHEAD_GATE_PCT,
-        "meets_gate": overhead_pct <= OVERHEAD_GATE_PCT,
+        "meets_gate": armed["overhead_pct"] <= OVERHEAD_GATE_PCT,
         "checkpoint_ms": statistics.median(tick_samples) * 1000,
         "checkpoints_taken": scheduler.checkpoints_taken,
         "snapshot_bytes": snapshot_bytes,
@@ -408,8 +346,8 @@ def rebalance_bench(
     holders: dict[str, dict[str, Any]] = {key: {} for key in keys}
 
     def build(key: str) -> None:
-        runner = _ScenarioRunner(blocking=True)
-        holders[key]["runner"] = runner
+        platform, dsk, runner = fresh_cvm_platform(work=blocking_work)
+        holders[key].update(platform=platform, dsk=dsk, runner=runner)
 
     def run_workload() -> float:
         start = time.perf_counter()
@@ -443,16 +381,17 @@ def rebalance_bench(
         imbalance_before = rebalancer.imbalance(loads_before)
 
         def capture(key: str) -> dict[str, Any]:
-            runner = holders[key]["runner"]
-            snapshot = runner.platform.checkpoint()
-            runner.platform.stop()
+            platform = holders[key]["platform"]
+            snapshot = platform.checkpoint()
+            platform.stop()
             return snapshot.to_dict()
 
         def restore(key: str, doc: dict[str, Any]) -> bool:
-            runner = holders[key]["runner"]
-            runner.platform = restore_platform(
-                SessionSnapshot.from_dict(doc), runner.dsk
+            holder = holders[key]
+            holder["platform"] = restore_platform(
+                SessionSnapshot.from_dict(doc), holder["dsk"]
             )
+            holder["runner"].broker = holder["platform"].broker
             return True
 
         moves = rebalancer.plan({key: 1.0 for key in keys})
@@ -464,9 +403,9 @@ def rebalance_bench(
     finally:
         runtime.stop()
         for holder in holders.values():
-            runner = holder.get("runner")
-            if runner is not None and runner.platform.started:
-                runner.platform.stop()
+            platform = holder.get("platform")
+            if platform is not None and platform.started:
+                platform.stop()
 
     steps_total = rounds * sum(len(steps) for steps in assigned.values())
     return {
@@ -501,10 +440,7 @@ def run(quick: bool = False) -> dict[str, Any]:
         "migration": migration_bench(
             cases, golden, repeats=1 if quick else 3
         ),
-        # Each hot-path sample is ~2 ms; min-of-3 is too noisy for a 5%
-        # gate, so even quick mode keeps a deep repeat count here (the
-        # sub-bench is cheap — platform construction dominates it).
-        "checkpoint": checkpoint_overhead_bench(repeat=10 if quick else 15),
+        "checkpoint": checkpoint_overhead_bench(),
         "rebalance": rebalance_bench(
             sessions=6 if quick else 12, rounds=1 if quick else 2
         ),

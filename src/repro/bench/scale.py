@@ -36,6 +36,7 @@ import time
 from typing import Any
 
 from repro.bench.gates import Check, bound, compare, holds
+from repro.bench.harness import ScenarioRunner, blocking_work, op_log_bytes
 from repro.bench.workloads import COMMUNICATION_SCENARIOS, Step
 
 __all__ = [
@@ -46,13 +47,6 @@ __all__ = [
     "run",
     "check",
 ]
-
-#: seconds of blocking service time per op-cost unit.  With the
-#: default op cost of 6.0 this is ~300 µs per service call — service
-#: time dominates middleware CPU (the paper's Sec. VII-A regime) while
-#: staying far below real network latencies, so full runs finish in
-#: seconds.
-BLOCKING_SECONDS_PER_UNIT = 50e-6
 
 #: the shard counts the scale curve is measured at.
 SHARD_COUNTS = (1, 2, 4, 8)
@@ -85,8 +79,8 @@ def build_workload(sessions: int) -> list[SessionSpec]:
     ]
 
 
-class _SessionState:
-    """A live session: its own service + model-based Broker.
+class _SessionState(ScenarioRunner):
+    """A live session: its own blocking service + model-based Broker.
 
     The service and broker are private per session (isolated
     ``op_log``, no cross-session ``resource.*`` cross-talk); the
@@ -94,21 +88,14 @@ class _SessionState:
     aggregation needs no extra synchronization on the hot path.
     """
 
-    __slots__ = ("spec", "service", "broker", "done")
-
-    def __init__(
-        self, spec: SessionSpec, metrics: Any, *, work: Any = None
-    ) -> None:
+    def __init__(self, spec: SessionSpec, metrics: Any) -> None:
         from repro.domains.communication.cml import cml_metamodel
         from repro.domains.communication.cvm import build_middleware_model
         from repro.middleware.loader import DomainKnowledge, load_platform
         from repro.sim.network import CommService
 
-        self.spec = spec
-        self.service = CommService("net0", work=work or _blocking_work)
-        knowledge = DomainKnowledge(
-            dsml=cml_metamodel(), resources=[self.service]
-        )
+        service = CommService("net0", work=blocking_work)
+        knowledge = DomainKnowledge(dsml=cml_metamodel(), resources=[service])
         platform = load_platform(
             build_middleware_model(),
             knowledge,
@@ -121,33 +108,9 @@ class _SessionState:
         # the explicit scenario step, keeping op_logs deterministic.
         broker.autonomic.enabled = False
         broker.start()
-        self.broker = broker
+        super().__init__(broker, service)
+        self.spec = spec
         self.done = False
-
-    def run_step(self, step: Step) -> None:
-        tag = step[0]
-        if tag == "api":
-            _tag, api, args = step
-            self.broker.call_api(api, **args)
-        elif tag == "fail":
-            self.service.inject_failure(self._session_id(step[1]))
-        elif tag == "recover":
-            self.broker.call_api(
-                "ncb.recover_session", session=self._session_id(step[1])
-            )
-        else:  # pragma: no cover - workload tags are closed
-            raise ValueError(f"unknown scenario step tag {tag!r}")
-
-    def _session_id(self, connection: str) -> str:
-        return self.broker.state.get(f"session:{connection}")
-
-    def op_log_bytes(self) -> bytes:
-        return "\n".join(self.service.op_log).encode("utf-8")
-
-
-def _blocking_work(cost: float) -> None:
-    if cost > 0:
-        time.sleep(cost * BLOCKING_SECONDS_PER_UNIT)
 
 
 def run_fabric(
@@ -228,7 +191,9 @@ def run_fabric(
         "signals_per_s": published / elapsed,
         "published_signals": published,
         "channel": runtime.channel.stats(),
-        "op_logs": {key: s.op_log_bytes() for key, s in states.items()},
+        "op_logs": {
+            key: op_log_bytes(s.service.op_log) for key, s in states.items()
+        },
     }
 
 

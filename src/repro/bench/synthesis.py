@@ -21,21 +21,30 @@ report reuses the first two sections (:mod:`repro.bench.aot`).
 
 from __future__ import annotations
 
-import json
 import sys
 import time
-from pathlib import Path
 from typing import Any
 
 from repro.bench.gates import Check, compare, holds
-from repro.bench.harness import least_noise
+from repro.bench.harness import paired_overhead, timer
 
 __all__ = [
+    "PR1_E1_OVERHEAD_PCT",
+    "PR4_E1_OVERHEAD_PCT",
     "template_microbench",
     "synthesis_stress",
     "run",
     "check",
 ]
+
+#: mean E1 overhead of the interpreted tier (``BENCH_PR1.json``
+#: ``e1.mean_overhead_pct``, committed history): the compiled tier's
+#: E1 line is held to it plus 5 points.
+PR1_E1_OVERHEAD_PCT = 26.95
+
+#: mean E1 overhead of the compiled tier on the sharded fabric
+#: (``BENCH_PR4.json``): the Tier-3 report's trajectory baseline.
+PR4_E1_OVERHEAD_PCT = 14.33
 
 
 #: representative of the CVM command templates: literal args, several
@@ -129,7 +138,7 @@ def _stress_model(objects: int):
 
 
 def template_microbench(
-    *, iterations: int = 20_000, repeat: int = 5
+    *, iterations: int = 20_000, rounds: int = 5
 ) -> dict[str, Any]:
     """Per-render cost of one command template, compiled vs interpreted."""
     from repro.middleware.synthesis.interpreter import (
@@ -158,22 +167,21 @@ def template_microbench(
     assert compiled.render(env) == render_interpreted(
         _MICROBENCH_TEMPLATE, env
     )
-    run_compiled()  # warm both paths (parse caches, bytecode)
-    run_interpreted()
-    compiled_s = least_noise(_time(run_compiled) for _ in range(repeat))
-    interpreted_s = least_noise(_time(run_interpreted) for _ in range(repeat))
-    compiled_us = compiled_s / iterations * 1e6
-    interpreted_us = interpreted_s / iterations * 1e6
+    tiers = paired_overhead(
+        timer(run_compiled), timer(run_interpreted), rounds=rounds
+    )
     return {
         "iterations": iterations,
-        "compiled_us": compiled_us,
-        "interpreted_us": interpreted_us,
-        "speedup": interpreted_us / compiled_us if compiled_us else 0.0,
+        "rounds": tiers["rounds"],
+        "compiled_us": tiers["base_s"] / iterations * 1e6,
+        "interpreted_us": tiers["variant_s"] / iterations * 1e6,
+        "speedup": 1.0 + tiers["overhead_pct"] / 100.0,
+        "iqr_pct": tiers["iqr_pct"],
     }
 
 
 def synthesis_stress(
-    *, objects: int = 5000, repeat: int = 3
+    *, objects: int = 5000, rounds: int = 3
 ) -> dict[str, Any]:
     """Synthesize ``objects`` adds through both tiers; identical scripts
     are asserted, then the interpretation time is compared."""
@@ -188,72 +196,53 @@ def synthesis_stress(
     changes = diff_models(empty, model)
     diff_s = time.perf_counter() - diff_start
 
-    def interpret(compiled: bool) -> tuple[float, Any]:
-        samples = []
-        script = None
-        for _ in range(repeat):
-            # Fresh interpreter per run: LTS executions are stateful,
-            # so replaying the same change list needs a clean slate.
-            interpreter = ChangeInterpreter(compiled=compiled)
-            for rule in _stress_rules():
-                interpreter.add_rule(rule)
-            start = time.perf_counter()
-            script = interpreter.interpret(changes, script_name="stress")
-            samples.append(time.perf_counter() - start)
-        return least_noise(samples), script
+    scripts: dict[bool, Any] = {}
 
-    compiled_s, compiled_script = interpret(True)
-    interpreted_s, interpreted_script = interpret(False)
+    def interpret(compiled: bool) -> float:
+        # Fresh interpreter per sample: LTS executions are stateful,
+        # so replaying the same change list needs a clean slate.
+        interpreter = ChangeInterpreter(compiled=compiled)
+        for rule in _stress_rules():
+            interpreter.add_rule(rule)
+        start = time.perf_counter()
+        scripts[compiled] = interpreter.interpret(
+            changes, script_name="stress"
+        )
+        return time.perf_counter() - start
+
+    tiers = paired_overhead(
+        lambda: interpret(True), lambda: interpret(False), rounds=rounds
+    )
     operations = [
         (c.operation, dict(c.args), c.target, c.classifier)
-        for c in compiled_script
+        for c in scripts[True]
     ]
     identical = operations == [
         (c.operation, dict(c.args), c.target, c.classifier)
-        for c in interpreted_script
+        for c in scripts[False]
     ]
     return {
         "objects": objects,
         "changes": len(changes),
-        "commands": len(compiled_script),
+        "commands": len(scripts[True]),
         "diff_ms": diff_s * 1000,
-        "compiled_ms": compiled_s * 1000,
-        "interpreted_ms": interpreted_s * 1000,
-        "speedup": interpreted_s / compiled_s if compiled_s else 0.0,
+        "rounds": tiers["rounds"],
+        "compiled_ms": tiers["base_s"] * 1000,
+        "interpreted_ms": tiers["variant_s"] * 1000,
+        "speedup": 1.0 + tiers["overhead_pct"] / 100.0,
+        "iqr_pct": tiers["iqr_pct"],
         "scripts_identical": identical,
     }
-
-
-def _time(fn) -> float:
-    start = time.perf_counter()
-    fn()
-    return time.perf_counter() - start
-
-
-def pr_baseline(name: str, *keys: str) -> float | None:
-    """A nested numeric field of an earlier bench report in the working
-    directory (``BENCH_PR1.json`` for the compiled tier, ``BENCH_PR4.json``
-    for Tier-3), or ``None`` when that report is absent or lacks it."""
-    path = Path(name)
-    if not path.exists():
-        return None
-    try:
-        doc: Any = json.loads(path.read_text(encoding="utf-8"))
-        for key in keys:
-            doc = doc[key]
-        return float(doc)
-    except (ValueError, KeyError, TypeError):
-        return None
 
 
 def run_tiers(quick: bool) -> tuple[dict[str, Any], dict[str, Any]]:
     """The template microbench and the stress synthesis, sized for
     ``quick``; both the compiled-tier and the Tier-3 reports carry them."""
     micro = template_microbench(
-        iterations=5_000 if quick else 20_000, repeat=3 if quick else 5
+        iterations=5_000 if quick else 20_000, rounds=3 if quick else 5
     )
     stress = synthesis_stress(
-        objects=1_000 if quick else 5_000, repeat=2 if quick else 3
+        objects=1_000 if quick else 5_000, rounds=2 if quick else 3
     )
     return micro, stress
 
@@ -263,33 +252,29 @@ def run(quick: bool = False) -> dict[str, Any]:
     from repro.bench.harness import e1_quick_bench
 
     micro, stress = run_tiers(quick)
-    e1 = e1_quick_bench(repeat=5)
-    baseline = pr_baseline("BENCH_PR1.json", "e1", "mean_overhead_pct")
-    results: dict[str, Any] = {
+    e1 = e1_quick_bench()
+    return {
         "bench": "PR3-compiled-synthesis",
         "python": sys.version.split()[0],
         "quick": quick,
         "template_microbench": micro,
         "synthesis_stress": stress,
         "e1": e1,
-        "baseline_e1_mean_overhead_pct": baseline,
+        "baseline_e1_mean_overhead_pct": PR1_E1_OVERHEAD_PCT,
+        "e1_overhead_improvement_pct_points": (
+            PR1_E1_OVERHEAD_PCT - e1["mean_overhead_pct"]
+        ),
     }
-    if baseline is not None:
-        results["e1_overhead_improvement_pct_points"] = (
-            baseline - e1["mean_overhead_pct"]
-        )
-    return results
 
 
 def check(report: dict[str, Any]) -> list[Check]:
     """The compiled tier must not lose to the interpreted reference
     tier, must synthesize identical scripts, and must keep E1 within a
-    few points of the interpreted BENCH_PR1 baseline (judged when that
-    report sits in the working directory; the slack absorbs shared-box
-    noise, the strict number is the committed full run)."""
+    few points of the interpreted tier's committed BENCH_PR1 figure
+    (the slack absorbs shared-box noise)."""
     micro = report["template_microbench"]
     stress = report["synthesis_stress"]
-    lines = [
+    return [
         compare(
             "template render, compiled us (vs interpreted)",
             micro["compiled_us"], "<=", micro["interpreted_us"],
@@ -300,11 +285,9 @@ def check(report: dict[str, Any]) -> list[Check]:
         ),
         holds("stress scripts identical across tiers",
               stress["scripts_identical"]),
-    ]
-    baseline = report["baseline_e1_mean_overhead_pct"]
-    if baseline is not None:
-        lines.append(compare(
+        compare(
             "E1 mean overhead % (BENCH_PR1 baseline + 5)",
-            report["e1"]["mean_overhead_pct"], "<=", baseline + 5.0,
-        ))
-    return lines
+            report["e1"]["mean_overhead_pct"], "<=",
+            PR1_E1_OVERHEAD_PCT + 5.0,
+        ),
+    ]

@@ -18,12 +18,11 @@ Exercises :mod:`repro.runtime.wal` end to end and produces
   on its owning shard's pump thread, the whole fabric is hard-stopped
   mid-workload (the shard kill), and recovery rebuilds the session on
   a fresh fabric from nothing but the log + DSK.
-* **e1_overhead** — the PR 3/PR 5 E1 scenario sweep with every step
-  logged as a durable entry versus bare, interleaved sampling;
-  the acceptance gate is WAL-on overhead ≤ 5%.  fsync batching is
-  reported separately per sync profile — the gate measures the
-  structural logging cost with group-commit at page-cache durability,
-  the profiles price real fsync.
+* **e1_overhead** — the E1 scenario sweep with every step logged as
+  a durable entry at the default :class:`DurabilityPolicy` versus bare,
+  through :func:`~repro.bench.harness.paired_overhead`; the acceptance
+  gate is WAL-on overhead ≤ 5%.  ``sync_profiles`` prices three
+  group-commit cadences per entry beside it.
 * **recovery_latency** — recovery wall time versus tail length
   (entries logged since the last checkpoint), showing the
   snapshot-then-truncate knob: more frequent checkpoints buy shorter
@@ -36,7 +35,7 @@ through :func:`~repro.middleware.snapshot.recover_session` — the same
 front door the durable fabric uses.
 
 ``repro bench wal`` writes ``BENCH_PR7.json`` and checks it
-(``--quick`` shrinks repeats for CI).
+(``--quick`` shortens the recovery-latency tails for CI).
 """
 
 from __future__ import annotations
@@ -50,7 +49,13 @@ from pathlib import Path
 from typing import Any
 
 from repro.bench.gates import Check, bound, compare, holds
-from repro.bench.migrate import _log_bytes, golden_logs
+from repro.bench.harness import (
+    fresh_cvm_platform,
+    op_log_bytes,
+    paired_overhead,
+    timer,
+)
+from repro.bench.migrate import golden_logs
 from repro.bench.workloads import COMMUNICATION_SCENARIOS, Step
 from repro.cases import DomainCase, domain_cases, fresh_session
 
@@ -62,6 +67,7 @@ __all__ = [
     "kill_recovery_bench",
     "fabric_kill_bench",
     "e1_overhead_bench",
+    "sync_profiles_bench",
     "recovery_latency_bench",
     "run",
     "check",
@@ -132,6 +138,13 @@ def _api_steps(steps: list[Step]) -> list[dict[str, Any]]:
     ]
 
 
+def _e1_docs() -> list[dict[str, Any]]:
+    """The E1 scenarios' API steps (71) as durable entry docs."""
+    return _api_steps(
+        [step for steps in COMMUNICATION_SCENARIOS.values() for step in steps]
+    )
+
+
 # -- kill-mid-workload recovery ---------------------------------------------
 
 
@@ -144,7 +157,7 @@ def _durable_session(
     from repro.runtime.wal import WriteAheadLog
 
     service, dsk, platform = fresh_session(case)
-    durability = ShardDurability(WriteAheadLog(wal_dir, fsync=False))
+    durability = ShardDurability(WriteAheadLog(wal_dir))
     return service, dsk, platform, durability
 
 
@@ -194,16 +207,18 @@ def kill_recovery_bench(
             )
             platform.stop()       # the kill: platform state is gone,
             durable.wal.close()   # only the log + external world survive
-            log_at_kill = _log_bytes(service)
+            log_at_kill = op_log_bytes(service.op_log)
 
-            wal = WriteAheadLog(wal_dir, fsync=False)
+            wal = WriteAheadLog(wal_dir)
             start = time.perf_counter()
             report = recover_session(
                 wal, session=session, apply_entry=apply_entry, dsk=dsk
             )
             replay_recover_ms = (time.perf_counter() - start) * 1000
-            replay_identical = _log_bytes(service) == golden[case.name]
-            replay_untouched = _log_bytes(service) == log_at_kill
+            replay_identical = (
+                op_log_bytes(service.op_log) == golden[case.name]
+            )
+            replay_untouched = op_log_bytes(service.op_log) == log_at_kill
             if report.errors:
                 raise AssertionError(
                     f"{case.name}: replay errors {report.errors}"
@@ -213,11 +228,13 @@ def kill_recovery_bench(
             # replay must also leave the op_log untouched.
             report.platform.stop()
             wal.close()
-            wal = WriteAheadLog(wal_dir, fsync=False)
+            wal = WriteAheadLog(wal_dir)
             report2 = recover_session(
                 wal, session=session, apply_entry=apply_entry, dsk=dsk
             )
-            double_identical = _log_bytes(service) == golden[case.name]
+            double_identical = (
+                op_log_bytes(service.op_log) == golden[case.name]
+            )
             report2.platform.stop()
             wal.close()
 
@@ -244,7 +261,7 @@ def kill_recovery_bench(
             platform.stop()
             durable.wal.close()
 
-            wal = WriteAheadLog(wal_dir, fsync=False)
+            wal = WriteAheadLog(wal_dir)
             start = time.perf_counter()
             report = recover_session(
                 wal, session=session, apply_entry=apply_entry, dsk=dsk
@@ -254,7 +271,9 @@ def kill_recovery_bench(
                 ShardDurability(wal), session, report.platform,
                 _model_entry(case.phase2()),
             )
-            resume_identical = _log_bytes(service) == golden[case.name]
+            resume_identical = (
+                op_log_bytes(service.op_log) == golden[case.name]
+            )
             report.platform.stop()
             wal.close()
 
@@ -313,7 +332,7 @@ def fabric_kill_bench(*, shards: int = 2) -> dict[str, Any]:
     for doc in steps:
         platform.broker.call_api(doc["api"], **doc["args"])
     platform.stop()
-    golden = _log_bytes(service)
+    golden = op_log_bytes(service.op_log)
 
     key = "wal-fabric-session"
     wal_dir = Path(tempfile.mkdtemp(prefix="wal-fabric-"))
@@ -331,9 +350,7 @@ def fabric_kill_bench(*, shards: int = 2) -> dict[str, Any]:
             if platform.controller is not None and case.context:
                 platform.controller.context.update(case.context)
             holder["platform"] = platform
-            holder["durable"] = ShardDurability(
-                WriteAheadLog(wal_dir, fsync=False)
-            )
+            holder["durable"] = ShardDurability(WriteAheadLog(wal_dir))
 
         def execute(doc: dict[str, Any]) -> Any:
             return execute_entry(
@@ -365,7 +382,7 @@ def fabric_kill_bench(*, shards: int = 2) -> dict[str, Any]:
         runtime.start()
 
         def recover() -> None:
-            wal = WriteAheadLog(wal_dir, fsync=False)
+            wal = WriteAheadLog(wal_dir)
             report = recover_session(
                 wal, session=key, apply_entry=apply_entry, dsk=dsk
             )
@@ -382,7 +399,7 @@ def fabric_kill_bench(*, shards: int = 2) -> dict[str, Any]:
         holder["platform"].stop()
         holder["durable"].wal.close()
 
-        identical = _log_bytes(service) == golden
+        identical = op_log_bytes(service.op_log) == golden
         report = holder["report"]
         return {
             "shards": shards,
@@ -401,148 +418,104 @@ def fabric_kill_bench(*, shards: int = 2) -> dict[str, Any]:
 # -- E1 overhead -------------------------------------------------------------
 
 
-def e1_overhead_bench(*, repeat: int = 15) -> dict[str, Any]:
-    """E1 scenario sweep, WAL-on vs bare, interleaved sampling.
+def e1_overhead_bench(*, rounds: int = 45) -> dict[str, Any]:
+    """E1 price of durability: :func:`paired_overhead` of a durable
+    shard session against a bare one, at the shipped policy.
 
-    WAL-on logs every API step as a durable entry (a write-ahead
-    ``entry`` frame, then one ``applied`` frame sealing the step's
-    memoized effects) through a one-session
-    :class:`~repro.runtime.durability.ShardDurability` with
-    group-commit batching.
+    The durable side runs exactly the code a durable
+    :class:`~repro.middleware.platform.PlatformPool` shard adds per
+    step — :meth:`ShardDurability.execute` (signal minting, entry
+    framing, the effect journal, the ``applied`` seal, group commit)
+    around the broker dispatch — on a shard log opened by
+    ``DurabilityPolicy().open_shard``, so its cadence is the default
+    one (recorded as ``fsync``/``sync_every``).  The bare side runs
+    the same dispatcher over plain envelopes.  Both platforms live for
+    the whole sweep (warm); each sample is one pass over the 71 API
+    steps of the E1 scenarios.
 
-    The **gate** is measured in E1's calibrated regime —
-    ``CommService.DEFAULT_OP_COST``, the op-cost ratio fixed once for
+    The **gate** is the ``calibrated`` regime —
+    ``CommService.DEFAULT_OP_COST``, the op-cost ratio fixed for
     E1/E3/E5 (see EXPERIMENTS.md) so simulated service work dominates
     the way real communication-framework calls did on the paper's
-    testbed.  That is the regime every prior E1 hot-path gate in this
-    repo (PR 3 synthesis, PR 4 idle scheduler) was held to.  The same
-    sweep at ``op_cost=0`` is reported as ``structural`` — the raw CPU
-    price of the logging machinery with nothing to hide behind — but is
-    diagnostic, not gated: no per-step durability scheme beats a 5%
-    bound against a ~30µs no-op step.
+    testbed.  ``structural`` (``op_cost=0``) is the raw CPU price of
+    the machinery with nothing to hide behind: diagnostic, not gated.
+    ``repro bench wal`` and ``repro bench walfabric`` both report it.
 
-    The ``sync_profiles`` table prices real fsync batching separately,
-    since that is a pure durability/latency knob independent of the hot
-    path's CPU cost.
+    One round's ratio spreads by 10–20 points (IQR, 2 vCPUs: a pass
+    seals two or three fsync groups, and fsync latency varies), so the
+    median needs ~45 rounds to settle within a couple of points.
     """
-    from repro.bench.migrate import _ScenarioRunner
-    from repro.runtime.durability import ShardDurability
-    from repro.runtime.wal import WriteAheadLog
+    from repro.runtime.durability import DurabilityPolicy
     from repro.sim.network import CommService
 
-    step_docs = _api_steps(
-        [
-            step
-            for scenario in COMMUNICATION_SCENARIOS.values()
-            for step in scenario
-        ]
-    )
-
-    passes = 3
-
-    def one_session(wal_on: bool, *, op_cost: float) -> float:
-        """Seconds per step, warm: one untimed pass then ``passes``
-        timed passes of the 71-step sweep on one fresh session."""
-        runner = _ScenarioRunner(op_cost=op_cost)
-        durable = None
-        wal_dir = None
-        platform = runner.platform
-        if wal_on:
-            wal_dir = Path(tempfile.mkdtemp(prefix="wal-e1-"))
-            durable = ShardDurability(
-                WriteAheadLog(wal_dir, fsync=False, sync_every=256)
-            )
-        apply = partial(apply_entry, platform)
-        resources = platform.broker.resources
-
-        def run_pass() -> None:
-            if durable is not None:
-                for doc in step_docs:
-                    durable.execute("e1", doc, apply, resources=resources)
-            else:
-                # the bare side runs the identical dispatcher over
-                # plain envelopes, so the delta isolates the durability
-                # machinery (signal minting, framing, effect journal)
-                # rather than bench-harness dispatch cost.
-                for doc in step_docs:
-                    apply_entry(platform, _PlainEntry(doc))
-
-        run_pass()  # warm this session's dispatch paths
-        start = time.perf_counter()
-        for _ in range(passes):
-            run_pass()
-        elapsed = time.perf_counter() - start
-        if durable is not None:
-            durable.wal.close()
-        runner.stop()
-        if wal_dir is not None:
-            shutil.rmtree(wal_dir, ignore_errors=True)
-        return elapsed / (passes * len(step_docs))
+    step_docs = _e1_docs()
+    policy = DurabilityPolicy()
 
     def sweep(*, op_cost: float) -> dict[str, Any]:
-        # Paired sampling: a (bare, wal-on) pair runs back to back, and
-        # the overhead is the *median of per-pair deltas*.  CPU-speed
-        # drift (thermal, noisy container neighbours) moves slower than
-        # one pair, so it cancels out of the difference — min-of-bare
-        # vs min-of-wal samples taken seconds apart does not.
-        one_session(False, op_cost=op_cost)  # global warm-up
-        one_session(True, op_cost=op_cost)
-        bares, deltas = [], []
-        for i in range(repeat):
-            # Alternate pair order: monotone drift *within* a pair
-            # biases whichever side runs second, so (bare, wal) pairs
-            # alone would systematically inflate the delta.  Flipping
-            # the order every other pair makes that bias cancel in the
-            # median.
-            if i % 2 == 0:
-                bare = one_session(False, op_cost=op_cost)
-                wal_on = one_session(True, op_cost=op_cost)
-            else:
-                wal_on = one_session(True, op_cost=op_cost)
-                bare = one_session(False, op_cost=op_cost)
-            bares.append(bare)
-            deltas.append(wal_on - bare)
-        bare_step = statistics.median(bares)
-        delta_step = statistics.median(deltas)
-        spread = sorted(deltas)
-        quarter = max(1, len(spread) // 4)
+        bare, _dsk, _runner = fresh_cvm_platform(op_cost=op_cost)
+        durable, _dsk, _runner = fresh_cvm_platform(op_cost=op_cost)
+        durability = policy.open_shard(0)
+
+        def bare_pass() -> None:
+            for doc in step_docs:
+                apply_entry(bare, _PlainEntry(doc))
+
+        def durable_pass() -> None:
+            for doc in step_docs:
+                execute_entry(durability, "e1", durable, doc)
+
+        try:
+            result = paired_overhead(
+                timer(bare_pass), timer(durable_pass), rounds=rounds
+            )
+        finally:
+            bare.stop()
+            durable.stop()
+            durability.wal.close()
+            policy.discard_ephemeral_root()
         return {
             "op_cost": op_cost,
-            "pairs_sampled": repeat,
-            "timed_passes_per_session": passes,
-            "bare_ms": bare_step * len(step_docs) * 1000,
-            "wal_on_ms": (
-                (bare_step + delta_step) * len(step_docs) * 1000
-            ),
-            "per_step_overhead_us": delta_step * 1e6,
-            "overhead_pct": 100.0 * delta_step / bare_step,
-            # measurement-quality indicators: the spread of per-pair
-            # deltas and of the bare samples themselves.  A noisy
-            # (shared/throttled) machine shows up here, not in the
-            # median.
-            "delta_iqr_us": (spread[-quarter - 1] - spread[quarter]) * 1e6,
-            "bare_spread_pct": (
-                100.0 * (max(bares) - min(bares)) / bare_step
+            **result,
+            "per_step_overhead_us": (
+                (result["variant_s"] - result["base_s"])
+                / len(step_docs) * 1e6
             ),
         }
 
     calibrated = sweep(op_cost=CommService.DEFAULT_OP_COST)
-    structural = sweep(op_cost=0.0)
     overhead_pct = calibrated["overhead_pct"]
+    return {
+        "steps": len(step_docs),
+        "fsync": policy.fsync,
+        "sync_every": policy.sync_every,
+        "calibrated": calibrated,
+        "structural": sweep(op_cost=0.0),
+        "overhead_pct": overhead_pct,
+        "gate_pct": OVERHEAD_GATE_PCT,
+        "meets_gate": overhead_pct <= OVERHEAD_GATE_PCT,
+    }
 
-    # fsync batching profiles: price of real durability per entry.
+
+def sync_profiles_bench() -> list[dict[str, Any]]:
+    """The price of real durability per entry, at three group-commit
+    cadences: fsync per entry, the default group of 64, and page-cache
+    only every 256 entries."""
+    from repro.runtime.durability import ShardDurability
+    from repro.runtime.wal import WriteAheadLog
+
+    step_docs = _e1_docs()
     profiles = []
     for sync_every, fsync in ((1, True), (64, True), (256, False)):
         wal_dir = Path(tempfile.mkdtemp(prefix="wal-sync-"))
         try:
-            runner = _ScenarioRunner()
+            platform, _dsk, _runner = fresh_cvm_platform(op_cost=0.0)
             wal = WriteAheadLog(
                 wal_dir, fsync=fsync, sync_every=sync_every
             )
             durable = ShardDurability(wal)
             start = time.perf_counter()
             for doc in step_docs:
-                execute_entry(durable, "e1", runner.platform, doc)
+                execute_entry(durable, "e1", platform, doc)
             elapsed = time.perf_counter() - start
             profiles.append({
                 "sync_every": sync_every,
@@ -552,20 +525,10 @@ def e1_overhead_bench(*, repeat: int = 15) -> dict[str, Any]:
                 "fsyncs": wal.syncs,
             })
             wal.close()
-            runner.stop()
+            platform.stop()
         finally:
             shutil.rmtree(wal_dir, ignore_errors=True)
-
-    return {
-        "steps": len(step_docs),
-        "repeat": repeat,
-        "calibrated": calibrated,
-        "structural": structural,
-        "overhead_pct": overhead_pct,
-        "gate_pct": OVERHEAD_GATE_PCT,
-        "meets_gate": overhead_pct <= OVERHEAD_GATE_PCT,
-        "sync_profiles": profiles,
-    }
+    return profiles
 
 
 # -- recovery latency vs tail length ----------------------------------------
@@ -579,13 +542,7 @@ def recovery_latency_bench(
     from repro.runtime.wal import WriteAheadLog
 
     case = next(c for c in domain_cases() if c.name == "communication")
-    base_docs = _api_steps(
-        [
-            step
-            for scenario in COMMUNICATION_SCENARIOS.values()
-            for step in scenario
-        ]
-    )
+    base_docs = _e1_docs()
     rows = []
     for tail in tail_lengths:
         wal_dir = Path(tempfile.mkdtemp(prefix="wal-tail-"))
@@ -603,15 +560,15 @@ def recovery_latency_bench(
                 )
             platform.stop()
             durable.wal.close()
-            log_at_kill = _log_bytes(service)
+            log_at_kill = op_log_bytes(service.op_log)
 
-            wal = WriteAheadLog(wal_dir, fsync=False)
+            wal = WriteAheadLog(wal_dir)
             start = time.perf_counter()
             report = recover_session(
                 wal, session=session, apply_entry=apply_entry, dsk=dsk
             )
             recover_ms = (time.perf_counter() - start) * 1000
-            assert _log_bytes(service) == log_at_kill, (
+            assert op_log_bytes(service.op_log) == log_at_kill, (
                 "recovery re-executed external effects"
             )
             report.platform.stop()
@@ -649,7 +606,8 @@ def run(quick: bool = False) -> dict[str, Any]:
         "quick": quick,
         "kill_recovery": kill_recovery_bench(cases, golden),
         "fabric_kill": fabric_kill_bench(),
-        "e1_overhead": e1_overhead_bench(repeat=3 if quick else 15),
+        "e1_overhead": e1_overhead_bench(),
+        "sync_profiles": sync_profiles_bench(),
         "recovery_latency": recovery_latency_bench(
             tail_lengths=(0, 20) if quick else (0, 40, 160)
         ),

@@ -12,12 +12,11 @@ Three sections, correctness gated before anything is reported:
   outcomes (resubmitted exactly once), and the final op_logs must be
   byte-identical to an uninterrupted inline run — across all four
   domains.
-* **e1** — the E1 scenario sweep submitted through a durable
-  :class:`PlatformPool` (per-shard WALs, the PR 10 default) vs the
-  same pool with ``durability="off"``, paired alternating-order
-  sampling in the calibrated op-cost regime.  Gate: median overhead
-  <= 5% (the same bar and sync profile every E1 hot-path gate in this
-  repo is held to; group-commit fsync is priced separately).
+* **e1** — the durable shard's E1 overhead at the default policy,
+  from the same function as ``repro bench wal``'s E1 line
+  (:func:`repro.bench.wal.e1_overhead_bench`).  Gate: <= 5% on full
+  runs.  Beside it, a diagnostic end-to-end pair: a default-durability
+  :class:`PlatformPool` against a ``durability="off"`` one.
 * **slice** — sessions on a durable pool emit cross-shard events
   derived from their write-ahead entries (``doc["emit"]``); every
   logged multi-signal trace is reassembled from the union of
@@ -31,7 +30,6 @@ Three sections, correctness gated before anything is reported:
 from __future__ import annotations
 
 import shutil
-import statistics
 import sys
 import tempfile
 import time
@@ -42,25 +40,22 @@ from repro.bench.cluster import (
     OPEN_DOC,
     _check_logs,
     _collect_logs,
-    _log_bytes,
+    _describe_log,
     backend,
     step_doc,
 )
 from repro.bench.gates import Check, compare, holds, is_quick
+from repro.bench.harness import paired_overhead
 from repro.bench.scale import build_workload
+from repro.bench.wal import OVERHEAD_GATE_PCT, e1_overhead_bench
 
 __all__ = [
     "adoption_bench",
-    "e1_pool_overhead_bench",
+    "pool_fabric_bench",
     "slice_replay_bench",
     "run",
     "check",
 ]
-
-#: E1 acceptance bar, unchanged since PR 3: model-driven dispatch —
-#: now with per-shard write-ahead durability on by default — must stay
-#: within 5% of the undurable path in the calibrated regime.
-OVERHEAD_GATE_PCT = 5.0
 
 
 # -- standby adoption after SIGKILL ------------------------------------------
@@ -105,10 +100,7 @@ def _inline_golden(workload: list) -> dict[str, bytes]:
                     docs = item[phase]
                     if step_index < len(docs):
                         target.apply(item[0], docs[step_index])
-        return {
-            item[0]: _log_bytes(target.describe(item[0])["op_logs"])
-            for item in workload
-        }
+        return {item[0]: _describe_log(target, item[0]) for item in workload}
     finally:
         for item in workload:
             target.close(item[0])
@@ -242,189 +234,55 @@ def adoption_bench(*, comm_sessions: int = 8) -> dict[str, Any]:
     }
 
 
-# -- E1 overhead through the durable pool ------------------------------------
+# -- E1 overhead through a real durable pool --------------------------------
 
 
-def e1_pool_overhead_bench(*, repeat: int = 15) -> dict[str, Any]:
-    """Calibrated E1 overhead of the pool's per-shard WAL machinery.
+def pool_fabric_bench(*, rounds: int = 7) -> dict[str, Any]:
+    """End-to-end wall-clock price of a default-durability pool against
+    a ``durability="off"`` one: diagnostic, not gated.
 
-    The **gate** prices exactly the code a durable
-    :class:`PlatformPool` shard runs per step beyond the undurable
-    path — :meth:`ShardDurability.execute` (signal minting, entry
-    framing, the effect journal, the ``applied`` seal) around the
-    identical broker dispatch — measured in-thread on a real shard WAL
-    built by :meth:`DurabilityPolicy.open_shard`, paired
-    alternating-order sampling, median of per-pair deltas, in E1's
-    calibrated op-cost regime (the same bar and methodology as the
-    ``repro bench wal`` E1 gate; group-commit fsync stays a separately
-    priced latency knob, see that bench's ``sync_profiles``).
-
-    The same sweep at ``op_cost=0`` is reported as ``structural``
-    (diagnostic).  ``fabric`` reports the end-to-end wall-clock delta
-    between a durable and an undurable pool — diagnostic too, because
-    pump-thread placement jitter between pool instances (tens of µs
-    per step, both signs) dwarfs the machinery cost itself; the paired
-    median is reported with its spread so the noise floor is visible.
+    Each sample builds a fresh 2-shard pool (untimed), warms it with
+    one pass, then times three passes of the E1 API steps submitted to
+    one session per shard.  Pump-thread placement jitter between pool
+    instances (tens of µs per step, both signs) dwarfs the machinery
+    cost itself, so the gated E1 line is :func:`e1_overhead_bench`'s
+    in-thread shard path; this row shows the noise floor beside it.
     """
-    from repro.bench.migrate import _ScenarioRunner
-    from repro.bench.wal import COMMUNICATION_SCENARIOS, _api_steps
+    from repro.bench.wal import _e1_docs
     from repro.domains.communication.cvm import build_cvm
     from repro.middleware.platform import PlatformPool
     from repro.runtime.durability import DurabilityPolicy
     from repro.sim.network import CommService
 
-    step_docs = _api_steps(
-        [
-            step
-            for scenario in COMMUNICATION_SCENARIOS.values()
-            for step in scenario
-        ]
-    )
+    step_docs = _e1_docs()
     passes = 3
-
-    def shard_policy() -> DurabilityPolicy:
-        return DurabilityPolicy(mode="wal", fsync=False, sync_every=256)
-
-    # -- machinery gate: the durable shard hot path, in-thread ----------
-
-    def sweep(*, op_cost: float, pairs: int) -> dict[str, Any]:
-        """Per-pair overhead ratio of durable vs bare passes.
-
-        One bare and one durable platform stay alive for the whole
-        sweep; single 71-step passes alternate between them, and each
-        adjacent (bare, durable) pass-pair yields one overhead ratio.
-        Two properties make this robust on a contended machine:
-
-        - a pair's two sides run back to back (~15 ms apart), so CPU
-          contention that is slowly varying inflates both sides of a
-          pair together and cancels out of that pair's *ratio* — unlike
-          median-bare vs median-durable over samples taken under
-          different machine speeds;
-        - pass order flips every pair, so contention ramping
-          monotonically *within* pairs biases alternate pairs in
-          opposite directions and cancels in the median.
-        """
-        bare_runner = _ScenarioRunner(op_cost=op_cost)
-        bare_platform = bare_runner.platform
-        durable_runner = _ScenarioRunner(op_cost=op_cost)
-        durable_platform = durable_runner.platform
-        resources = durable_platform.broker.resources
-        policy = shard_policy()
-        durability = policy.open_shard(0)
-
-        def bare_pass() -> float:
-            call_api = bare_platform.broker.call_api
-            start = time.perf_counter()
-            for doc in step_docs:
-                call_api(doc["api"], **doc.get("args", {}))
-            return time.perf_counter() - start
-
-        def durable_pass() -> float:
-            call_api = durable_platform.broker.call_api
-
-            def apply(signal: Any) -> Any:
-                doc = signal.payload
-                return call_api(doc["api"], **doc.get("args", {}))
-
-            start = time.perf_counter()
-            for doc in step_docs:
-                durability.execute("e1", doc, apply, resources=resources)
-            return time.perf_counter() - start
-
-        try:
-            for _ in range(2):  # warm both dispatch paths
-                bare_pass()
-                durable_pass()
-            bares, deltas, ratios = [], [], []
-            for index in range(pairs):
-                if index % 2 == 0:
-                    bare = bare_pass()
-                    durable = durable_pass()
-                else:
-                    durable = durable_pass()
-                    bare = bare_pass()
-                bares.append(bare)
-                deltas.append(durable - bare)
-                ratios.append((durable - bare) / bare)
-        finally:
-            bare_runner.stop()
-            durable_runner.stop()
-            durability.wal.close()
-            policy.discard_ephemeral_root()
-        steps = len(step_docs)
-        bare_step = statistics.median(bares) / steps
-        delta_step = statistics.median(deltas) / steps
-        # The gated statistic is the *lower quartile* of per-pair
-        # ratios.  Contention shifts pair ratios in one direction only
-        # — the calibrated spin absorbs a slow machine in the
-        # denominator while the machinery's real work stretches in the
-        # numerator — so the sorted ratios form a tight uncontended
-        # bulk plus a purely-positive tail, and the lower quartile
-        # tracks the bulk.  On a quiet machine the distribution is
-        # tight and p25 ~= median (both are reported).
-        ratios.sort()
-        return {
-            "op_cost": op_cost,
-            "pairs_sampled": pairs,
-            "bare_ms": bare_step * steps * 1000,
-            "wal_ms": (bare_step + delta_step) * steps * 1000,
-            "per_step_overhead_us": delta_step * 1e6,
-            "overhead_pct": 100.0 * ratios[len(ratios) // 4],
-            "median_pct": 100.0 * statistics.median(ratios),
-        }
-
-    # Best of up to three sweep attempts.  Co-tenant interference can
-    # only *inflate* the calibrated ratio: the op-cost spin is a
-    # wall-clock target that absorbs contention (the denominator stays
-    # ~fixed) while the WAL machinery's real work stretches under it —
-    # so the least-interfered attempt is the most accurate estimate,
-    # the same reasoning behind ``timeit``'s min-of-repeats.
-    attempts = []
-    for _ in range(3):
-        attempt = sweep(
-            op_cost=CommService.DEFAULT_OP_COST, pairs=max(15, repeat * 3)
-        )
-        attempts.append(attempt)
-        if attempt["overhead_pct"] <= OVERHEAD_GATE_PCT * 0.8:
-            break
-    calibrated = min(attempts, key=lambda a: a["overhead_pct"])
-    calibrated["attempts"] = len(attempts)
-    structural = sweep(op_cost=0.0, pairs=max(9, repeat * 2))
-
-    # -- fabric diagnostic: end-to-end through a real pool --------------
 
     def apply_pool_doc(platform: Any, key: str, doc: dict) -> Any:
         return platform.broker.call_api(doc["api"], **doc.get("args", {}))
 
-    def one_fabric(durable: bool) -> float:
-        """Seconds per step through a fresh 2-shard pool, warm."""
+    def sample(durability: Any) -> float:
         pool = PlatformPool(
             lambda shard: build_cvm(
                 service=CommService("net0"), bus=shard.bus,
                 clock=shard.clock, metrics=shard.metrics,
             ),
-            name="bench-e1-pool", shards=2,
-            durability=shard_policy() if durable else "off",
+            name="bench-e1-pool", shards=2, durability=durability,
         )
         pool.start()
         pool.attach_cluster(None, apply=apply_pool_doc)
         # exactly one session per shard: the sweep's stateful scenario
         # ops must not interleave on a shared shard platform.
-        sessions: list[str] = []
-        taken: set[int] = set()
+        sessions: dict[int, str] = {}
         for candidate in (f"e1-conn-{n}" for n in range(10_000)):
-            shard = pool.shard_for(candidate).index
-            if shard not in taken:
-                taken.add(shard)
-                sessions.append(candidate)
-            if len(taken) == 2:
+            sessions.setdefault(pool.shard_for(candidate).index, candidate)
+            if len(sessions) == 2:
                 break
         try:
             def run_pass() -> None:
                 futures = [
                     pool.submit_doc(key, doc)
                     for doc in step_docs
-                    for key in sessions
+                    for key in sessions.values()
                 ]
                 for future in futures:
                     future.result(120).unwrap()
@@ -433,42 +291,22 @@ def e1_pool_overhead_bench(*, repeat: int = 15) -> dict[str, Any]:
             start = time.perf_counter()
             for _ in range(passes):
                 run_pass()
-            elapsed = time.perf_counter() - start
+            return time.perf_counter() - start
         finally:
             pool.stop()
-        return elapsed / (passes * len(sessions) * len(step_docs))
 
-    fabric_pairs = max(3, repeat // 2)
-    one_fabric(False)  # global warm-up
-    one_fabric(True)
-    bares, deltas = [], []
-    for index in range(fabric_pairs):
-        if index % 2 == 0:
-            bare = one_fabric(False)
-            durable = one_fabric(True)
-        else:
-            durable = one_fabric(True)
-            bare = one_fabric(False)
-        bares.append(bare)
-        deltas.append(durable - bare)
-    fabric = {
+    result = paired_overhead(
+        lambda: sample("off"), lambda: sample(DurabilityPolicy()),
+        rounds=rounds,
+    )
+    steps = passes * 2 * len(step_docs)
+    return {
         "sessions": 2,
         "shards": 2,
-        "pairs_sampled": fabric_pairs,
-        "bare_ms": statistics.median(bares) * len(step_docs) * 1000,
-        "per_step_delta_us": statistics.median(deltas) * 1e6,
-        "pair_spread_us": (max(deltas) - min(deltas)) * 1e6,
-    }
-
-    overhead_pct = calibrated["overhead_pct"]
-    return {
-        "steps": len(step_docs),
-        "calibrated": calibrated,
-        "structural": structural,
-        "fabric": fabric,
-        "overhead_pct": overhead_pct,
-        "gate_pct": OVERHEAD_GATE_PCT,
-        "meets_gate": overhead_pct <= OVERHEAD_GATE_PCT,
+        **result,
+        "per_step_delta_us": (
+            (result["variant_s"] - result["base_s"]) / steps * 1e6
+        ),
     }
 
 
@@ -504,9 +342,7 @@ def slice_replay_bench(*, sessions: int = 3) -> dict[str, Any]:
             clock=shard.clock, metrics=shard.metrics,
         ),
         name="bench-slice-pool", shards=2,
-        durability=DurabilityPolicy(
-            mode="wal", log_root=str(root), fsync=False
-        ),
+        durability=DurabilityPolicy(log_root=str(root)),
     )
     pool.start()
     pool.attach_cluster(
@@ -634,7 +470,8 @@ def run(quick: bool = False) -> dict[str, Any]:
         "python": sys.version.split()[0],
         "quick": quick,
         "adoption": adoption_bench(comm_sessions=4 if quick else 8),
-        "e1_pool_overhead": e1_pool_overhead_bench(repeat=5 if quick else 15),
+        "e1_pool_overhead": e1_overhead_bench(),
+        "e1_pool_fabric": pool_fabric_bench(rounds=3 if quick else 7),
         "slice_replay": slice_replay_bench(sessions=2 if quick else 3),
     }
 

@@ -242,8 +242,8 @@ def cmd_reproduce(_args: argparse.Namespace) -> int:
     from repro.baselines import NonAdaptiveController
     from repro.bench.harness import (
         ResultTable,
-        fresh_handcrafted_broker,
-        fresh_model_based_broker,
+        e1_quick_bench,
+        paired_overhead,
     )
     from repro.bench.loc import loc_report
     from repro.bench.repo_factory import (
@@ -251,30 +251,17 @@ def cmd_reproduce(_args: argparse.Namespace) -> int:
         build_generator,
         build_repository,
     )
-    from repro.bench.workloads import COMMUNICATION_SCENARIOS
 
     # E1 + E5 -------------------------------------------------------------
     e1 = ResultTable(
         "E1/E5: Broker overhead and trace equivalence (paper: +17 %)",
         ["scenario", "model ms", "handcrafted ms", "overhead %", "equal"],
     )
-    overheads = []
-    for scenario, steps in COMMUNICATION_SCENARIOS.items():
-        def timed(factory):
-            samples = []
-            for _ in range(5):
-                _b, service, runner = factory()
-                start = time.perf_counter()
-                runner.run(steps)
-                samples.append(time.perf_counter() - start)
-            return min(samples), service
-        model_s, model_service = timed(fresh_model_based_broker)
-        hand_s, hand_service = timed(fresh_handcrafted_broker)
-        overhead = 100.0 * (model_s / hand_s - 1.0)
-        overheads.append(overhead)
-        e1.add(scenario, model_s * 1000, hand_s * 1000, overhead,
-               model_service.op_log == hand_service.op_log)
-    e1.add("AVERAGE", "-", "-", sum(overheads) / len(overheads), "-")
+    overhead = e1_quick_bench()
+    for row in overhead["scenarios"]:
+        e1.add(row["scenario"], row["model_ms"], row["handcrafted_ms"],
+               row["overhead_pct"], row["op_logs_equal"])
+    e1.add("AVERAGE", "-", "-", overhead["mean_overhead_pct"], "-")
     print(e1.render())
 
     # E2 ---------------------------------------------------------------------
@@ -339,15 +326,15 @@ def cmd_reproduce(_args: argparse.Namespace) -> int:
         platform.stop()
         return elapsed
 
-    adaptive = min(adaptive_run() for _ in range(3))
-    nonadaptive = min(nonadaptive_run() for _ in range(3))
+    response = paired_overhead(adaptive_run, nonadaptive_run, rounds=3)
     e3 = ResultTable(
         "E3: adaptation response (paper: ~800 vs ~4000 ms, ~5x)",
         ["architecture", "response ms"],
     )
-    e3.add("adaptive (IM regeneration)", adaptive * 1000)
-    e3.add("non-adaptive (redeploy)", nonadaptive * 1000)
-    e3.add("adaptive speedup", f"{nonadaptive / adaptive:.2f}x")
+    e3.add("adaptive (IM regeneration)", response["base_s"] * 1000)
+    e3.add("non-adaptive (redeploy)", response["variant_s"] * 1000)
+    e3.add("adaptive speedup",
+           f"{1.0 + response['overhead_pct'] / 100.0:.2f}x")
     print("\n" + e3.render())
 
     # E4 ---------------------------------------------------------------------

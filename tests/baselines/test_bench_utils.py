@@ -1,13 +1,15 @@
 """Tests for the benchmark harness utilities themselves."""
 
+import json
+
 import pytest
 
 from repro.bench.harness import (
-    Measurement,
     ResultTable,
     fresh_handcrafted_broker,
     fresh_model_based_broker,
-    measure,
+    overhead_stats,
+    paired_overhead,
 )
 from repro.bench.loc import (
     comment_ratio,
@@ -74,18 +76,90 @@ class TestRunners:
         assert broker.autonomic.enabled is False
 
 
-class TestMeasurement:
-    def test_measure_statistics(self):
-        measurement = measure("m", lambda: sum(range(100)), repeat=4)
-        assert len(measurement.samples) == 4
-        assert measurement.minimum <= measurement.mean
-        assert measurement.median >= 0
-        assert measurement.total == pytest.approx(sum(measurement.samples))
+def scripted(label, values, calls):
+    """A timing side that returns ``values`` in turn, logging each call."""
+    samples = iter(values)
 
-    def test_ratio(self):
-        a = Measurement("a", samples=[2.0, 2.0])
-        b = Measurement("b", samples=[1.0, 1.0])
-        assert a.ratio_to(b) == 2.0
+    def side():
+        calls.append(label)
+        return next(samples)
+
+    return side
+
+
+class TestPairedOverhead:
+    def test_median_and_iqr_of_per_round_ratios(self):
+        calls = []
+        # The first two samples per side are the discarded warm-ups;
+        # kept, they would move both the median and the IQR.
+        result = paired_overhead(
+            scripted("base", [50.0, 50.0, 1.0, 1.0, 1.0, 1.0, 1.0], calls),
+            scripted("variant",
+                     [99.0, 99.0, 1.10, 1.20, 1.05, 1.40, 1.10], calls),
+            rounds=5,
+        )
+        # ratios: +10, +20, +5, +40, +10 %
+        assert result["overhead_pct"] == pytest.approx(10.0)
+        assert result["iqr_pct"] == pytest.approx(10.0)
+        assert result["rounds"] == 5
+        assert result["base_s"] == pytest.approx(1.0)
+        assert result["variant_s"] == pytest.approx(1.10)
+        assert len(calls) == 2 * (2 + 5)
+
+    def test_two_warmups_then_alternating_order(self):
+        calls = []
+        paired_overhead(
+            scripted("b", [1.0] * 7, calls),
+            scripted("v", [1.0] * 7, calls),
+            rounds=5,
+        )
+        assert calls == [
+            "b", "v", "b", "v",  # warm-up rounds, discarded
+            "b", "v", "v", "b", "b", "v", "v", "b", "b", "v",
+        ]
+
+    def test_statistic_over_recorded_pairs(self):
+        result = overhead_stats([(2.0, 1.0), (2.0, 3.0), (1.0, 1.0)])
+        assert result["overhead_pct"] == pytest.approx(0.0)
+        assert result["iqr_pct"] == pytest.approx(50.0)
+        assert result["rounds"] == 3
+
+
+class TestE1Baselines:
+    def test_synthesis_gate_ignores_reports_in_the_working_directory(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.bench import synthesis
+
+        (tmp_path / "BENCH_PR1.json").write_text(
+            json.dumps({"e1": {"mean_overhead_pct": 1.0}}), encoding="utf-8"
+        )
+        monkeypatch.chdir(tmp_path)
+        micro = {"compiled_us": 1.0, "interpreted_us": 2.0}
+        stress = {"compiled_ms": 1.0, "interpreted_ms": 2.0,
+                  "scripts_identical": True}
+        monkeypatch.setattr(
+            synthesis, "run_tiers", lambda quick: (micro, stress)
+        )
+        monkeypatch.setattr(
+            "repro.bench.harness.e1_quick_bench",
+            lambda **_kw: {"mean_overhead_pct": 20.0},
+        )
+        lines = synthesis.check(synthesis.run(quick=True))
+        (line,) = [text for text, _ok in lines if text.startswith("E1 ")]
+        assert line.endswith("20.00 <= 31.95")
+        assert all(ok for _text, ok in lines)
+
+    def test_wal_e1_runs_at_the_default_durability_policy(self):
+        from repro.bench.wal import e1_overhead_bench
+        from repro.runtime.durability import DurabilityPolicy
+
+        report = e1_overhead_bench(rounds=2)
+        policy = DurabilityPolicy()
+        assert (report["fsync"], report["sync_every"]) == (
+            policy.fsync, policy.sync_every
+        )
+        assert report["calibrated"]["rounds"] == 2
 
 
 class TestResultTable:

@@ -184,7 +184,7 @@ def test_aot_scripts_byte_identical_to_compiled(revisions):
 def test_four_domain_op_logs_identical_under_aot():
     """Every shipped domain's two-phase session drives its service to
     the same op_log with and without the Tier-3 program installed."""
-    from repro.bench.migrate import _log_bytes
+    from repro.bench.harness import op_log_bytes
     from repro.cases import domain_cases, fresh_session
 
     for case in domain_cases():
@@ -194,7 +194,7 @@ def test_four_domain_op_logs_identical_under_aot():
             tier2.run_model(case.phase2())
         finally:
             tier2.stop()
-        golden = _log_bytes(service2)
+        golden = op_log_bytes(service2.op_log)
         assert golden, f"{case.name}: empty golden op_log"
 
         service3, _dsk, tier3 = fresh_session(case)
@@ -205,7 +205,7 @@ def test_four_domain_op_logs_identical_under_aot():
             tier3.run_model(case.phase2())
         finally:
             tier3.stop()
-        assert _log_bytes(service3) == golden, case.name
+        assert op_log_bytes(service3.op_log) == golden, case.name
 
 
 # -- runtime-edit lifecycle --------------------------------------------------

@@ -429,6 +429,7 @@ class TestOpLogEquivalence:
         # Same workload, same per-session interleaving, two paths:
         # the PR 4 synchronous fabric (golden) and the ingress tier.
         # Admitted sessions must produce byte-identical op_logs.
+        from repro.bench.harness import op_log_bytes
         from repro.bench.scale import (
             _SessionState,
             build_workload,
@@ -466,7 +467,8 @@ class TestOpLogEquivalence:
         runtime.stop()
         assert tier.stats()["shed"] == 0
         for spec in specs:
-            assert states[spec.key].op_log_bytes() == golden[spec.key]
+            log = states[spec.key].service.op_log
+            assert op_log_bytes(log) == golden[spec.key]
 
 
 class TestCloseSession:
